@@ -26,7 +26,8 @@
 //! * `SSPC_ASSIGN_PATH` — force the assignment kernel layout (`row` /
 //!   `transposed`; default `auto` routes by shape). Recorded in the JSON
 //!   line as `assign_path`, alongside the per-phase breakdown
-//!   (`assign_secs` / `refit_secs` / `other_secs` per timed leg);
+//!   (`assign_secs` / `refit_secs` / `other_secs` per timed leg, plus
+//!   `init_secs`, the initialization sub-span of `other_secs`);
 //! * `BENCH_HOTLOOP_OUT` — output path for the JSON record.
 
 use sspc::objective::{ClusterModel, FitScratch, IncrementalModel};
@@ -242,11 +243,12 @@ fn main() {
             let secs = start.elapsed().as_secs_f64();
             eprintln!(
                 "hotloop: {label} round {round}: {secs:.3} s ({} iterations; \
-                     assign {:.3} s, refit {:.3} s, other {:.3} s)",
+                     assign {:.3} s, refit {:.3} s, other {:.3} s of which init {:.3} s)",
                 r.iterations(),
                 phases.assign_secs,
                 phases.refit_secs,
                 phases.other_secs,
+                phases.init_secs,
             );
             if secs < best {
                 best = secs;
@@ -369,9 +371,12 @@ fn main() {
             "\"incr_secs\":{:.6},\"fast_secs\":{:.6},\"speedup\":{:.3},",
             "\"speedup_incr_vs_batch\":{:.3},",
             "\"assign_secs\":{:.6},\"refit_secs\":{:.6},\"other_secs\":{:.6},",
+            "\"init_secs\":{:.6},",
             "\"naive_assign_secs\":{:.6},\"naive_refit_secs\":{:.6},",
-            "\"naive_other_secs\":{:.6},\"batch_assign_secs\":{:.6},",
+            "\"naive_other_secs\":{:.6},\"naive_init_secs\":{:.6},",
+            "\"batch_assign_secs\":{:.6},",
             "\"batch_refit_secs\":{:.6},\"batch_other_secs\":{:.6},",
+            "\"batch_init_secs\":{:.6},",
             "\"stabilized_batch_secs\":{:.6},",
             "\"stabilized_incr_secs\":{:.6},\"stabilized_speedup\":{:.3},",
             "\"stabilized_delta\":{},\"deadline_incr_secs\":{:.6},",
@@ -393,12 +398,15 @@ fn main() {
         incr_phases.assign_secs,
         incr_phases.refit_secs,
         incr_phases.other_secs,
+        incr_phases.init_secs,
         naive_phases.assign_secs,
         naive_phases.refit_secs,
         naive_phases.other_secs,
+        naive_phases.init_secs,
         batch_phases.assign_secs,
         batch_phases.refit_secs,
         batch_phases.other_secs,
+        batch_phases.init_secs,
         stab_batch,
         stab_incr,
         stab_speedup,

@@ -408,6 +408,10 @@ pub struct PhaseTimings {
     /// Everything else — initialization, snapshot record/restore,
     /// representative replacement — seconds.
     pub other_secs: f64,
+    /// Initialization — input validation, thresholds, seed groups and
+    /// initial medoids — seconds. A sub-span of `other_secs`, not an
+    /// additional share of the wall clock.
+    pub init_secs: f64,
 }
 
 /// The Semi-Supervised Projected Clustering algorithm.
@@ -582,7 +586,7 @@ impl Sspc {
         let mut rng = seeded_rng(seed);
 
         // Step 1: seed groups.
-        let groups = Initializer::new(dataset, &self.params, &init_thresholds, supervision)
+        let groups = Initializer::new(dataset, &self.params, &init_thresholds, supervision, naive)
             .build(&mut rng)?;
 
         // Step 2: one medoid per cluster.
@@ -592,6 +596,9 @@ impl Sspc {
             if let SeedSource::Public(g) = cl.source {
                 public_in_use[g] = true;
             }
+        }
+        if let Some(t) = timings.as_deref_mut() {
+            t.init_secs = run_start.expect("timed run").elapsed().as_secs_f64();
         }
 
         let n = dataset.n_objects();

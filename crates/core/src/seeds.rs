@@ -23,11 +23,11 @@ use crate::objective::ClusterModel;
 use crate::{SspcParams, Supervision, Thresholds};
 use rand::rngs::StdRng;
 use rand::Rng;
+use sspc_common::parallel;
 use sspc_common::rng::{weighted_index, weighted_sample_distinct};
 use sspc_common::stats::median_in_place;
 use sspc_common::{ClusterId, Dataset, DimId, Error, ObjectId, Result};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// A set of candidate medoids plus their estimated relevant dimensions.
@@ -75,10 +75,24 @@ pub(crate) struct Initializer<'a> {
     supervision: &'a Supervision,
     /// Objects still considered when forming new groups.
     available: Vec<bool>,
-    /// Per-dimension binnings, computed once and shared by every grid
-    /// built over that dimension ([`Grid::bin_column`]); grid candidates
-    /// repeat heavily across the `g` grids of each group.
-    bin_cache: RefCell<HashMap<DimId, Rc<BinColumn>>>,
+    /// Per-dimension binnings indexed by dimension, computed once and
+    /// shared by every grid built over that dimension
+    /// ([`Grid::bin_column`]); grid candidates repeat heavily across the
+    /// `g` grids of each group, and every public group's
+    /// [`Initializer::anchored_weights`] touches all `d` entries.
+    bin_cache: RefCell<Vec<Option<Rc<BinColumn>>>>,
+    /// Reference path: every anchor search rescans all earlier groups
+    /// ([`Initializer::max_min_anchor`]) instead of folding them into
+    /// `min_dist` once.
+    naive: bool,
+    /// Fast path's max-min state: `min_dist[o]` is object `o`'s minimum
+    /// normalized subspace distance to every seed of the first `folded`
+    /// groups (groups without dimensions contribute nothing). Empty until
+    /// the first public group needs an anchor, so runs without public
+    /// groups do no distance work.
+    min_dist: Vec<f64>,
+    /// How many groups (in creation order) `min_dist` covers.
+    folded: usize,
 }
 
 impl<'a> Initializer<'a> {
@@ -87,6 +101,7 @@ impl<'a> Initializer<'a> {
         params: &'a SspcParams,
         thresholds: &'a Thresholds,
         supervision: &'a Supervision,
+        naive: bool,
     ) -> Self {
         Initializer {
             dataset,
@@ -94,8 +109,21 @@ impl<'a> Initializer<'a> {
             thresholds,
             supervision,
             available: vec![true; dataset.n_objects()],
-            bin_cache: RefCell::new(HashMap::new()),
+            bin_cache: RefCell::new(vec![None; dataset.n_dims()]),
+            naive,
+            min_dist: Vec::new(),
+            folded: 0,
         }
+    }
+
+    /// The cached binning of dimension `j`, computed on first use.
+    fn cached_bins<'c>(
+        &self,
+        cache: &'c mut [Option<Rc<BinColumn>>],
+        j: DimId,
+    ) -> &'c Rc<BinColumn> {
+        let bins = self.params.bins_per_dim;
+        cache[j.index()].get_or_insert_with(|| Rc::new(Grid::bin_column(self.dataset, j, bins)))
     }
 
     /// Builds one grid over `picked`, combining cached per-dimension
@@ -106,13 +134,7 @@ impl<'a> Initializer<'a> {
         let mut cache = self.bin_cache.borrow_mut();
         let cols: Vec<Rc<BinColumn>> = picked
             .iter()
-            .map(|&j| {
-                Rc::clone(
-                    cache
-                        .entry(j)
-                        .or_insert_with(|| Rc::new(Grid::bin_column(self.dataset, j, bins))),
-                )
-            })
+            .map(|&j| Rc::clone(self.cached_bins(&mut cache, j)))
             .collect();
         Grid::build_from_bins(self.dataset, picked, bins, &cols, &self.available)
     }
@@ -281,13 +303,18 @@ impl<'a> Initializer<'a> {
     /// 1-D histogram density around the anchor, and hill-climbs from the
     /// anchor's cell. Returns `None` when no objects remain available.
     fn public_group(
-        &self,
+        &mut self,
         private: &[Option<SeedGroup>],
         public: &[SeedGroup],
         rng: &mut StdRng,
     ) -> Result<Option<SeedGroup>> {
         let existing: Vec<&SeedGroup> = private.iter().flatten().chain(public.iter()).collect();
-        let Some(anchor) = self.max_min_anchor(&existing, rng) else {
+        let anchor = if self.naive {
+            self.max_min_anchor(&existing, rng)
+        } else {
+            self.max_min_anchor_incremental(&existing, rng)
+        };
+        let Some(anchor) = anchor else {
             return Ok(None);
         };
         let anchor_row = self.dataset.row(anchor).to_vec();
@@ -321,9 +348,7 @@ impl<'a> Initializer<'a> {
             // range, degenerate dimensions collapse to bin 0, edges clamp
             // into the border bins), shared with the grids built later
             // from these candidates through the per-dimension bin cache.
-            let bc = cache
-                .entry(j)
-                .or_insert_with(|| Rc::new(Grid::bin_column(self.dataset, j, bins)));
+            let bc = self.cached_bins(&mut cache, j);
             let anchor_bin = bc.bin_of(anchor_row[j.index()], bins) as u16;
             let density = bc
                 .bins
@@ -344,6 +369,10 @@ impl<'a> Initializer<'a> {
     /// maximum", distances "performed in the subspace defined by the
     /// relevant dimensions of the seed groups, normalized by the number of
     /// dimensions"). With no existing groups, a random available object.
+    ///
+    /// The reference scan, kept for [`crate::Sspc::run_naive`]: every call
+    /// recomputes each available object's distance to every seed of every
+    /// group, O(G·n·s·l) for the G-th public group.
     fn max_min_anchor(&self, existing: &[&SeedGroup], rng: &mut StdRng) -> Option<ObjectId> {
         let available: Vec<ObjectId> = self
             .dataset
@@ -371,6 +400,40 @@ impl<'a> Initializer<'a> {
                     .fold(f64::INFINITY, f64::min);
                 (o, min_dist)
             })
+            .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("finite distances"))
+            .map(|(o, _)| o)
+    }
+
+    /// [`Initializer::max_min_anchor`] with the same result and RNG use,
+    /// at O(n·s·l) per group: `existing` only ever grows at the end, so
+    /// the groups after the first `folded` are folded into the running
+    /// `min_dist` and the anchor is its argmax over available objects.
+    ///
+    /// Bit-identical to the rescan: each object's distance to a seed
+    /// takes the same additions in the same dimension order as
+    /// [`Dataset::sq_dist_between`], and `min` over the (finite, `≥ +0`)
+    /// distances does not depend on the order groups arrive in.
+    fn max_min_anchor_incremental(
+        &mut self,
+        existing: &[&SeedGroup],
+        rng: &mut StdRng,
+    ) -> Option<ObjectId> {
+        if !self.available.contains(&true) || existing.iter().all(|g| g.dims.is_empty()) {
+            // No pick, or a random one: the rescan measures no distance
+            // here either, and delegating keeps its RNG use exactly.
+            return self.max_min_anchor(existing, rng);
+        }
+        if self.min_dist.is_empty() {
+            self.min_dist = vec![f64::INFINITY; self.dataset.n_objects()];
+        }
+        for group in &existing[self.folded..] {
+            fold_group(self.dataset, group, &mut self.min_dist);
+        }
+        self.folded = existing.len();
+        self.dataset
+            .object_ids()
+            .filter(|o| self.available[o.index()])
+            .map(|o| (o, self.min_dist[o.index()]))
             .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("finite distances"))
             .map(|(o, _)| o)
     }
@@ -492,6 +555,37 @@ impl<'a> Initializer<'a> {
     }
 }
 
+/// Folds one group into the running max-min distances: for each seed,
+/// `min_dist[o] = min(min_dist[o], ‖x_o − x_s‖²_dims / |dims|)`. Each
+/// seed's squared distances accumulate one contiguous column range at a
+/// time, dimensions in ascending order, into a per-worker buffer; workers
+/// own disjoint object ranges, so the chunking is not observable. Groups
+/// without dimensions contribute nothing, as in the rescan.
+fn fold_group(dataset: &Dataset, group: &SeedGroup, min_dist: &mut [f64]) {
+    if group.dims.is_empty() {
+        return;
+    }
+    let len = group.dims.len() as f64;
+    parallel::for_each_chunk_mut_with(min_dist, Vec::new, |offset, chunk, acc: &mut Vec<f64>| {
+        for &s in &group.seeds {
+            let seed_row = dataset.row(s);
+            acc.clear();
+            acc.resize(chunk.len(), 0.0);
+            for &j in &group.dims {
+                let xs = seed_row[j.index()];
+                let col = dataset.column_block(j, offset, chunk.len());
+                for (a, &x) in acc.iter_mut().zip(col) {
+                    let diff = x - xs;
+                    *a += diff * diff;
+                }
+            }
+            for (m, &a) in chunk.iter_mut().zip(acc.iter()) {
+                *m = m.min(a / len);
+            }
+        }
+    });
+}
+
 /// Draws a random seed from a group (uniform over the group's seeds).
 pub(crate) fn draw_seed(group: &SeedGroup, rng: &mut StdRng) -> ObjectId {
     debug_assert!(!group.seeds.is_empty());
@@ -547,7 +641,7 @@ mod tests {
             .label_object(ObjectId(0), ClusterId(0))
             .label_object(ObjectId(1), ClusterId(0))
             .label_object(ObjectId(2), ClusterId(0));
-        let init = Initializer::new(&ds, &params, &th, &sup);
+        let init = Initializer::new(&ds, &params, &th, &sup, false);
         let mut rng = seeded_rng(1);
         let groups = init.build(&mut rng).unwrap();
         let g = groups.private[0].as_ref().expect("class 0 got input");
@@ -570,7 +664,7 @@ mod tests {
         let sup = Supervision::none()
             .label_dim(DimId(2), ClusterId(1))
             .label_dim(DimId(3), ClusterId(1));
-        let init = Initializer::new(&ds, &params, &th, &sup);
+        let init = Initializer::new(&ds, &params, &th, &sup, false);
         let mut rng = seeded_rng(2);
         let groups = init.build(&mut rng).unwrap();
         let g = groups.private[1].as_ref().expect("class 1 got input");
@@ -594,7 +688,7 @@ mod tests {
         let ds = planted_dataset();
         let (params, th) = setup(&ds);
         let sup = Supervision::none().label_object(ObjectId(0), ClusterId(0));
-        let init = Initializer::new(&ds, &params, &th, &sup);
+        let init = Initializer::new(&ds, &params, &th, &sup, false);
         let mut rng = seeded_rng(3);
         let groups = init.build(&mut rng).unwrap();
         let g = groups.private[0].as_ref().expect("anchor builds a group");
@@ -611,7 +705,7 @@ mod tests {
         let ds = planted_dataset();
         let (params, th) = setup(&ds);
         let sup = Supervision::none();
-        let init = Initializer::new(&ds, &params, &th, &sup);
+        let init = Initializer::new(&ds, &params, &th, &sup, false);
         let mut rng = seeded_rng(4);
         let groups = init.build(&mut rng).unwrap();
         assert!(groups.private.iter().all(Option::is_none));
@@ -628,7 +722,7 @@ mod tests {
         let ds = planted_dataset();
         let (params, th) = setup(&ds);
         let sup = Supervision::none();
-        let init = Initializer::new(&ds, &params, &th, &sup);
+        let init = Initializer::new(&ds, &params, &th, &sup, false);
         let mut rng = seeded_rng(5);
         let groups = init.build(&mut rng).unwrap();
         // No object may appear as a seed of two groups.
@@ -648,12 +742,150 @@ mod tests {
             .label_object(ObjectId(10), ClusterId(1))
             .label_object(ObjectId(11), ClusterId(1))
             .label_dim(DimId(2), ClusterId(1));
-        let init = Initializer::new(&ds, &params, &th, &sup);
+        let init = Initializer::new(&ds, &params, &th, &sup, false);
         let mut rng = seeded_rng(6);
         let groups = init.build(&mut rng).unwrap();
         assert!(groups.private[1].is_some());
         assert!(groups.private[0].is_none());
         assert!(!groups.public.is_empty(), "cluster 0 needs a public group");
+    }
+
+    /// Serializes `SSPC_NUM_THREADS` mutation across the tests here.
+    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn with_threads<R>(n: usize, body: impl FnOnce() -> R) -> R {
+        let _guard = ENV_LOCK.lock().unwrap();
+        std::env::set_var("SSPC_NUM_THREADS", n.to_string());
+        let r = body();
+        std::env::remove_var("SSPC_NUM_THREADS");
+        r
+    }
+
+    /// A random group over available objects: 1–6 seeds, and a random
+    /// ascending dimension subset that is empty about one time in four.
+    fn random_group(rng: &mut StdRng, available: &[bool], d: usize) -> SeedGroup {
+        let pool: Vec<ObjectId> = (0..available.len())
+            .filter(|&o| available[o])
+            .map(ObjectId)
+            .collect();
+        let n_seeds = rng.gen_range(1..=6usize).min(pool.len());
+        let seeds = weighted_sample_distinct(rng, &vec![1.0; pool.len()], n_seeds)
+            .into_iter()
+            .map(|i| pool[i])
+            .collect();
+        let dims = if rng.gen_range(0u32..4) == 0 {
+            Vec::new()
+        } else {
+            (0..d)
+                .filter(|_| rng.gen_range(0.0..1.0) < 0.5)
+                .map(DimId)
+                .collect()
+        };
+        SeedGroup {
+            seeds,
+            dims,
+            class: None,
+        }
+    }
+
+    /// Replays one random group sequence, checking after every group that
+    /// the incremental anchor (and its RNG use) equals the rescan's, and
+    /// that every available object's running minimum has the exact bits
+    /// of the rescan's minimum. Returns the final `min_dist`.
+    fn replay_group_sequence(ds: &Dataset, case_seed: u64) -> Vec<f64> {
+        let (params, th) = setup(ds);
+        let sup = Supervision::none();
+        let mut init = Initializer::new(ds, &params, &th, &sup, false);
+        let mut gen = seeded_rng(case_seed);
+        let mut groups: Vec<SeedGroup> = Vec::new();
+        for _ in 0..gen.gen_range(1..6usize) {
+            // Several groups may arrive between two searches, as the
+            // private groups do before the first public one.
+            for _ in 0..gen.gen_range(1..4usize) {
+                let group = random_group(&mut gen, &init.available, ds.n_dims());
+                init.retire_seeds(&group.seeds);
+                groups.push(group);
+            }
+            // Retire a few objects that seeded nothing.
+            for _ in 0..gen.gen_range(0..4usize) {
+                init.available[gen.gen_range(0..ds.n_objects())] = false;
+            }
+            let existing: Vec<&SeedGroup> = groups.iter().collect();
+            let draw = gen.gen_range(0..u64::MAX);
+            let (mut rng_ref, mut rng_inc) = (seeded_rng(draw), seeded_rng(draw));
+            let reference = init.max_min_anchor(&existing, &mut rng_ref);
+            let incremental = init.max_min_anchor_incremental(&existing, &mut rng_inc);
+            assert_eq!(
+                reference,
+                incremental,
+                "anchor after {} groups",
+                groups.len()
+            );
+            assert_eq!(
+                rng_ref.gen::<u64>(),
+                rng_inc.gen::<u64>(),
+                "RNG use diverged"
+            );
+            if existing.iter().any(|g| !g.dims.is_empty()) {
+                for o in ds.object_ids().filter(|o| init.available[o.index()]) {
+                    let expected = existing
+                        .iter()
+                        .filter(|g| !g.dims.is_empty())
+                        .flat_map(|g| {
+                            g.seeds.iter().map(move |&s| {
+                                ds.sq_dist_between(o, s, &g.dims) / g.dims.len() as f64
+                            })
+                        })
+                        .fold(f64::INFINITY, f64::min);
+                    assert_eq!(expected.to_bits(), init.min_dist[o.index()].to_bits());
+                }
+            }
+        }
+        init.min_dist
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+        /// The incremental, columnar max-min search equals the reference
+        /// rescan at 1, 2 and 8 threads, on datasets large enough
+        /// (n ≥ 512 = 2 × `MIN_CHUNK`) that the fold really splits.
+        #[test]
+        fn prop_incremental_anchor_equals_rescan(
+            n in 512usize..1200,
+            d in 1usize..12,
+            seed in 0u64..10_000,
+        ) {
+            let mut rng = seeded_rng(seed);
+            let values: Vec<f64> = (0..n * d).map(|_| rng.gen_range(-1e3..1e3)).collect();
+            let ds = Dataset::from_rows(n, d, values).unwrap();
+            let serial = with_threads(1, || replay_group_sequence(&ds, seed));
+            for threads in [2, 8] {
+                let parallel = with_threads(threads, || replay_group_sequence(&ds, seed));
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(&serial), bits(&parallel));
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_anchor_is_none_once_pool_is_exhausted() {
+        let ds = planted_dataset();
+        let (params, th) = setup(&ds);
+        let sup = Supervision::none();
+        let mut init = Initializer::new(&ds, &params, &th, &sup, false);
+        let group = SeedGroup {
+            seeds: vec![ObjectId(0)],
+            dims: vec![DimId(0)],
+            class: None,
+        };
+        init.available.iter_mut().for_each(|a| *a = false);
+        let mut rng = seeded_rng(8);
+        assert_eq!(init.max_min_anchor(&[&group], &mut rng), None);
+        assert_eq!(init.max_min_anchor_incremental(&[&group], &mut rng), None);
+        assert!(
+            init.min_dist.is_empty(),
+            "no fold without an anchor to find"
+        );
     }
 
     #[test]

@@ -158,6 +158,48 @@ fn run_equals_run_naive_bitwise() {
     }
 }
 
+/// The seed-group initializer's fast path (the incremental, columnar
+/// max-min anchor search) reproduces `run_naive`'s full rescan
+/// bit-for-bit at 1, 2 and 8 threads, on shapes where several public
+/// groups are built: an unsupervised k = 5 run over 1000 objects, and a
+/// mixed run whose private groups (labeled objects and dimensions, a
+/// single-object anchor, dimensions only) are folded in before the public
+/// groups for the two input-less classes.
+#[test]
+fn max_min_initialization_equals_naive_bitwise() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let ds = planted(1000, 30, 5, 1205);
+    let sup_mixed = Supervision::none()
+        .label_object(ObjectId(0), ClusterId(0))
+        .label_object(ObjectId(1), ClusterId(0))
+        .label_dim(DimId(0), ClusterId(0))
+        .label_object(ObjectId(200), ClusterId(1))
+        .label_dim(DimId(4), ClusterId(2))
+        .label_dim(DimId(5), ClusterId(2));
+    let sspc = Sspc::new(
+        SspcParams::new(5)
+            .with_threshold(ThresholdScheme::MFraction(0.5))
+            .with_termination(3, 10),
+    )
+    .unwrap();
+    for (sup, what) in [
+        (&Supervision::none(), "unsupervised"),
+        (&sup_mixed, "mixed"),
+    ] {
+        for seed in [3u64, 17] {
+            let naive = sspc.run_naive(&ds, sup, seed).unwrap();
+            for threads in [1usize, 2, 8] {
+                let fast = with_thread_count(threads, || sspc.run(&ds, sup, seed).unwrap());
+                assert_results_identical(
+                    &naive,
+                    &fast,
+                    &format!("{what} seed {seed} at {threads} threads"),
+                );
+            }
+        }
+    }
+}
+
 /// The rayon-convention env var is honored too: `RAYON_NUM_THREADS=1,2,8`
 /// all produce the same output.
 #[test]
