@@ -7,10 +7,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use sspc::objective::{
     assignment_argmax, assignment_gain_row, assignment_gains_transposed, AssignCandidate,
-    ClusterModel, FitScratch, IncrementalModel, ASSIGN_BLOCK,
+    ClusterModel, FitScratch, ASSIGN_BLOCK,
 };
 use sspc::{ThresholdScheme, Thresholds};
-use sspc_common::orderstat::MedianSet;
 use sspc_common::stats::ChiSquared;
 use sspc_common::{ClusterId, DimId, ObjectId};
 use sspc_datagen::{generate, GeneratorConfig};
@@ -81,138 +80,6 @@ fn bench_fit_layouts(c: &mut Criterion) {
     group.finish();
 }
 
-/// The delta-size sweep behind the incremental refit engine's cutover
-/// policy: one stabilized-iteration refit of a ~n/5-member cluster over
-/// `d` dimensions — incremental (`apply_delta` + order-statistics
-/// selection) vs the batch fit — across delta sizes. The crossover this
-/// sweep shows is what `DELTA_CUTOVER_DIV` in the main loop encodes.
-fn bench_incremental_delta_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("incremental_refit");
-    let (n, d) = (2500usize, 1000usize);
-    let data = generate(&config(n, d), 3).unwrap();
-    let members: Vec<ObjectId> = data.truth.members_of(ClusterId(0));
-    let spares: Vec<ObjectId> = data.truth.members_of(ClusterId(1));
-    let thresholds = Thresholds::new(ThresholdScheme::MFraction(0.5), &data.dataset).unwrap();
-    let t_row = thresholds.row(members.len());
-    let mut scratch = FitScratch::new();
-
-    group.bench_with_input(
-        BenchmarkId::new("batch_fit", format!("m{}_d{d}", members.len())),
-        &(&data, &members),
-        |b, (data, members)| {
-            b.iter(|| {
-                let model =
-                    ClusterModel::fit_with_scratch(&data.dataset, members, &mut scratch).unwrap();
-                black_box(model.select_dims_row(&t_row))
-            })
-        },
-    );
-
-    for delta in [1usize, 4, 8, 16, 32] {
-        let removed: Vec<ObjectId> = members.iter().copied().take(delta).collect();
-        let added: Vec<ObjectId> = spares.iter().copied().take(delta).collect();
-        let mut inc = IncrementalModel::new(d);
-        inc.rebuild_with_scratch(&data.dataset, &members, &mut scratch)
-            .unwrap();
-        let (mut dims, mut medians) = (Vec::new(), Vec::new());
-        group.bench_with_input(
-            BenchmarkId::new("apply_delta_select", format!("delta{delta}")),
-            &(&data, &removed, &added),
-            |b, (data, removed, added)| {
-                b.iter(|| {
-                    // Swap the same objects out and back in: two deltas of
-                    // the given size, leaving the model unchanged for the
-                    // next measurement.
-                    inc.apply_delta(&data.dataset, removed, added);
-                    inc.apply_delta(&data.dataset, added, removed);
-                    black_box(inc.select_and_score_row(&t_row, &mut dims, &mut medians))
-                })
-            },
-        );
-    }
-
-    // The bulk-load investment (sorted rebuild of every per-dimension
-    // multiset) that a delta-dominated stretch must amortize.
-    let mut inc = IncrementalModel::new(d);
-    group.bench_with_input(
-        BenchmarkId::new("rebuild", format!("m{}_d{d}", members.len())),
-        &(&data, &members),
-        |b, (data, members)| {
-            b.iter(|| {
-                inc.rebuild_with_scratch(&data.dataset, members, &mut scratch)
-                    .unwrap();
-                black_box(inc.size())
-            })
-        },
-    );
-    group.finish();
-}
-
-/// Raw order-statistics multiset operations — the per-(object, dimension)
-/// cost every incremental refit pays.
-fn bench_medianset_ops(c: &mut Criterion) {
-    let mut group = c.benchmark_group("medianset");
-    for n in [128usize, 512, 2048] {
-        let values: Vec<f64> = (0..n).map(|i| ((i * 193) % 1009) as f64).collect();
-        let mut set = MedianSet::new();
-        let mut keys = Vec::new();
-        set.rebuild_from_unsorted(&values, &mut keys);
-        group.bench_with_input(
-            BenchmarkId::new("swap_and_median", format!("n{n}")),
-            &values,
-            |b, values| {
-                let mut i = 0usize;
-                b.iter(|| {
-                    let v = values[i % values.len()];
-                    set.remove(v);
-                    set.insert(v + 0.5);
-                    set.remove(v + 0.5);
-                    set.insert(v);
-                    i += 1;
-                    black_box(set.median())
-                })
-            },
-        );
-        // A/B of the two median read paths under the same mutation load:
-        // `median()` reads through the O(1) maintained cursor;
-        // `select(median_rank)` pays the chunk-length walk the cursor
-        // removed (PERFORMANCE.md "Incremental refits" follow-up).
-        group.bench_with_input(
-            BenchmarkId::new("swap_and_median_select_walk", format!("n{n}")),
-            &values,
-            |b, values| {
-                let mut i = 0usize;
-                b.iter(|| {
-                    let v = values[i % values.len()];
-                    set.remove(v);
-                    set.insert(v + 0.5);
-                    set.remove(v + 0.5);
-                    set.insert(v);
-                    i += 1;
-                    black_box(set.select((set.len() - 1) / 2))
-                })
-            },
-        );
-        // Bulk-load A/B: the default full `sort_unstable` rebuild against
-        // the quantile-partition pass (recursive `select_nth_unstable` at
-        // chunk boundaries, then short chunk sorts). Both build the
-        // identical structure; the measurement decided the default — the
-        // full sort won at every size, so the partition pass is the A/B
-        // arm only (PERFORMANCE.md "MedianSet bulk-load").
-        group.bench_with_input(
-            BenchmarkId::new("rebuild_unsorted", format!("n{n}")),
-            &values,
-            |b, values| b.iter(|| set.rebuild_from_unsorted(black_box(values), &mut keys)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("rebuild_unsorted_quantile", format!("n{n}")),
-            &values,
-            |b, values| b.iter(|| set.rebuild_from_unsorted_quantile(black_box(values), &mut keys)),
-        );
-    }
-    group.finish();
-}
-
 /// The assignment-phase gain kernel (order-exact 4-wide unroll) at
 /// realistic selected-dimension counts.
 fn bench_gain_row(c: &mut Criterion) {
@@ -254,8 +121,8 @@ fn bench_gain_row(c: &mut Criterion) {
     group.finish();
 }
 
-/// The whole-assignment-phase layout A/B behind the `SSPC_ASSIGN_PATH`
-/// router: the row-wise path (per-object `assignment_gain_row` over every
+/// The whole-assignment-phase layout A/B behind the main loop's
+/// shape-based route: the row-wise path (per-object `assignment_gain_row` over every
 /// candidate, strided column reads) against the transposed path
 /// (per-candidate contiguous `column_slice` scans into blocked gain
 /// stripes, then a per-object argmax reduction). Both produce bit-identical
@@ -396,8 +263,6 @@ criterion_group!(
     benches,
     bench_objective,
     bench_fit_layouts,
-    bench_incremental_delta_sweep,
-    bench_medianset_ops,
     bench_gain_row,
     bench_assign_layouts,
     bench_chi_square_quantile,

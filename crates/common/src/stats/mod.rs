@@ -5,8 +5,8 @@
 //! The paper's per-cluster, per-dimension score needs three summaries of a
 //! projection: the sample mean `µᵢⱼ`, the sample variance `s²ᵢⱼ`
 //! (denominator `nᵢ − 1`), and the sample median `µ̃ᵢⱼ`. [`Summary`]
-//! computes all three in one call; [`RunningStats`] supports the incremental
-//! (Welford) case.
+//! computes all three in one call; [`RunningStats`] is the streaming
+//! (Welford) accumulator behind the mean and variance.
 
 mod chi_square;
 mod gamma;
@@ -70,8 +70,10 @@ impl Summary {
 
 /// Welford's online algorithm for mean and variance.
 ///
-/// Numerically stable; used both for dataset-global statistics and for
-/// incremental cluster statistics during object assignment.
+/// Numerically stable and push-only; used for the per-dimension cluster
+/// summaries of the objective function ([`Summary`] and the hot loop's
+/// columnar fits) and, through [`RunningStats::merge`], for HARP's
+/// cluster-merge statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningStats {
     count: usize,
@@ -92,27 +94,6 @@ impl RunningStats {
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
-    }
-
-    /// Removes a previously-added value. The caller must guarantee `x` was
-    /// pushed before; removing an arbitrary value silently corrupts the
-    /// state (standard Welford-downdate caveat).
-    #[inline]
-    pub fn remove(&mut self, x: f64) {
-        debug_assert!(self.count > 0, "remove from empty RunningStats");
-        if self.count == 1 {
-            *self = Self::new();
-            return;
-        }
-        let count = self.count as f64;
-        let mean_without = (count * self.mean - x) / (count - 1.0);
-        self.m2 -= (x - self.mean) * (x - mean_without);
-        // Guard against tiny negative residue from cancellation.
-        if self.m2 < 0.0 {
-            self.m2 = 0.0;
-        }
-        self.mean = mean_without;
-        self.count -= 1;
     }
 
     /// Number of values accumulated.
@@ -243,29 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn running_stats_push_remove_roundtrip() {
-        let mut r = RunningStats::new();
-        for v in [1.0, 5.0, 2.0, 8.0] {
-            r.push(v);
-        }
-        let mean4 = r.mean();
-        r.push(100.0);
-        r.remove(100.0);
-        assert_eq!(r.count(), 4);
-        assert!((r.mean() - mean4).abs() < 1e-9);
-    }
-
-    #[test]
-    fn running_stats_remove_to_empty() {
-        let mut r = RunningStats::new();
-        r.push(3.0);
-        r.remove(3.0);
-        assert_eq!(r.count(), 0);
-        assert_eq!(r.mean(), 0.0);
-        assert_eq!(r.sample_variance(), 0.0);
-    }
-
-    #[test]
     fn running_stats_merge_equals_sequential() {
         let mut a = RunningStats::new();
         let mut b = RunningStats::new();
@@ -330,23 +288,6 @@ mod tests {
             prop_assert!(below <= values.len() / 2);
             prop_assert!(above <= values.len().div_ceil(2));
             prop_assert!(values.contains(&med));
-        }
-
-        #[test]
-        fn prop_remove_inverts_push(
-            base in prop::collection::vec(-1e3f64..1e3, 1..50),
-            extra in -1e3f64..1e3,
-        ) {
-            let mut r = RunningStats::new();
-            for &v in &base {
-                r.push(v);
-            }
-            let before = r;
-            r.push(extra);
-            r.remove(extra);
-            prop_assert_eq!(r.count(), before.count());
-            prop_assert!((r.mean() - before.mean()).abs() < 1e-7);
-            prop_assert!((r.sample_variance() - before.sample_variance()).abs() < 1e-6);
         }
 
         #[test]

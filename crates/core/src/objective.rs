@@ -20,7 +20,6 @@
 //! [`assignment_gain`] implements the resulting per-object score gain.
 
 use crate::Thresholds;
-use sspc_common::orderstat::MedianSet;
 use sspc_common::stats::{median_in_place, RunningStats, Summary};
 use sspc_common::{Dataset, DimId, Error, ObjectId, Result};
 
@@ -56,75 +55,6 @@ impl FitScratch {
 /// x86). Each dimension's own operation sequence is untouched, so the
 /// results are bit-identical to the one-dimension-at-a-time path.
 const LANES: usize = 4;
-
-/// The columnar gather + Welford pass shared by the batch fit
-/// ([`ClusterModel::fit_with_scratch`]), the incremental rebuild
-/// ([`IncrementalModel::rebuild_with_scratch`]), and moment
-/// re-canonicalization ([`IncrementalModel::canonicalize_moments`]).
-///
-/// For each dimension `j` in ascending order, `sink` receives `j`, the
-/// finished Welford chain over `members` (pushed in member-list order — the
-/// canonical operation sequence every path shares, so the resulting bits
-/// are identical wherever this helper is used), and the gathered member
-/// projections as a mutable slice (sinks may select or sort in place).
-fn columnar_chains<F>(
-    dataset: &Dataset,
-    members: &[ObjectId],
-    scratch: &mut FitScratch,
-    mut sink: F,
-) where
-    F: FnMut(usize, RunningStats, &mut [f64]),
-{
-    let m = members.len();
-    let d = dataset.n_dims();
-    scratch.buf.resize(LANES * m, 0.0);
-
-    let mut j = 0;
-    while j + LANES <= d {
-        let cols = [
-            dataset.column_slice(DimId(j)),
-            dataset.column_slice(DimId(j + 1)),
-            dataset.column_slice(DimId(j + 2)),
-            dataset.column_slice(DimId(j + 3)),
-        ];
-        let (b0, rest) = scratch.buf.split_at_mut(m);
-        let (b1, rest) = rest.split_at_mut(m);
-        let (b2, b3) = rest.split_at_mut(m);
-        let mut stats = [RunningStats::new(); LANES];
-        for (i, &o) in members.iter().enumerate() {
-            let oi = o.index();
-            let v0 = cols[0][oi];
-            let v1 = cols[1][oi];
-            let v2 = cols[2][oi];
-            let v3 = cols[3][oi];
-            b0[i] = v0;
-            b1[i] = v1;
-            b2[i] = v2;
-            b3[i] = v3;
-            stats[0].push(v0);
-            stats[1].push(v1);
-            stats[2].push(v2);
-            stats[3].push(v3);
-        }
-        for (lane, buf) in [b0, b1, b2, b3].into_iter().enumerate() {
-            sink(j + lane, stats[lane], buf);
-        }
-        j += LANES;
-    }
-    // Remainder dimensions, one at a time (same formulas).
-    while j < d {
-        let col = dataset.column_slice(DimId(j));
-        let buf = &mut scratch.buf[..m];
-        let mut stats = RunningStats::new();
-        for (slot, &o) in buf.iter_mut().zip(members.iter()) {
-            let v = col[o.index()];
-            *slot = v;
-            stats.push(v);
-        }
-        sink(j, stats, buf);
-        j += 1;
-    }
-}
 
 impl ClusterModel {
     /// Fits the model: one [`Summary`] per dimension over `members`.
@@ -169,15 +99,61 @@ impl ClusterModel {
             ));
         }
         let m = members.len();
-        let mut summaries = Vec::with_capacity(dataset.n_dims());
-        columnar_chains(dataset, members, scratch, |_, stats, buf| {
-            summaries.push(Summary {
-                mean: stats.mean(),
-                variance: stats.sample_variance(),
-                median: median_in_place(buf),
-                count: m,
-            });
-        });
+        let d = dataset.n_dims();
+        let mut summaries = Vec::with_capacity(d);
+        let summary = |stats: RunningStats, buf: &mut [f64]| Summary {
+            mean: stats.mean(),
+            variance: stats.sample_variance(),
+            median: median_in_place(buf),
+            count: m,
+        };
+        scratch.buf.resize(LANES * m, 0.0);
+
+        let mut j = 0;
+        while j + LANES <= d {
+            let cols = [
+                dataset.column_slice(DimId(j)),
+                dataset.column_slice(DimId(j + 1)),
+                dataset.column_slice(DimId(j + 2)),
+                dataset.column_slice(DimId(j + 3)),
+            ];
+            let (b0, rest) = scratch.buf.split_at_mut(m);
+            let (b1, rest) = rest.split_at_mut(m);
+            let (b2, b3) = rest.split_at_mut(m);
+            let mut stats = [RunningStats::new(); LANES];
+            for (i, &o) in members.iter().enumerate() {
+                let oi = o.index();
+                let v0 = cols[0][oi];
+                let v1 = cols[1][oi];
+                let v2 = cols[2][oi];
+                let v3 = cols[3][oi];
+                b0[i] = v0;
+                b1[i] = v1;
+                b2[i] = v2;
+                b3[i] = v3;
+                stats[0].push(v0);
+                stats[1].push(v1);
+                stats[2].push(v2);
+                stats[3].push(v3);
+            }
+            for (lane, buf) in [b0, b1, b2, b3].into_iter().enumerate() {
+                summaries.push(summary(stats[lane], buf));
+            }
+            j += LANES;
+        }
+        // Remainder dimensions, one at a time (same formulas).
+        while j < d {
+            let col = dataset.column_slice(DimId(j));
+            let buf = &mut scratch.buf[..m];
+            let mut stats = RunningStats::new();
+            for (slot, &o) in buf.iter_mut().zip(members.iter()) {
+                let v = col[o.index()];
+                *slot = v;
+                stats.push(v);
+            }
+            summaries.push(summary(stats, buf));
+            j += 1;
+        }
         Ok(ClusterModel { size: m, summaries })
     }
 
@@ -278,299 +254,6 @@ impl ClusterModel {
                 }
             })
             .sum()
-    }
-}
-
-/// Relative component of the moment-drift budget: incremental Welford
-/// updates accumulate rounding that batch refits do not, so any comparison
-/// involving an incrementally-maintained dispersion is only trusted when
-/// its margin exceeds `DISP_EPS_REL · (dispersion + threshold)` plus the
-/// absolute component below. The constants over-bound the worst drift
-/// between re-canonicalizations (a few hundred push/remove pairs at
-/// ~2⁻⁵² relative each) by several orders of magnitude; exceeding the
-/// budget merely forces an exact recomputation, never a wrong answer.
-const DISP_EPS_REL: f64 = 1e-9;
-/// Absolute component of the moment-drift budget, scaled by
-/// `(1 + |mean|)·(1 + |mean − median|)`. The mean downdate's rounding
-/// grows like `count·|mean|·ε` per operation and enters the dispersion
-/// through the shift term `(mean − median)²`, so the budget tracks
-/// `|mean|·|shift|` — not `mean²`, which would swamp realistic
-/// dispersions on large-offset data and force perpetual
-/// re-canonicalization. The constant leaves two to three orders of
-/// magnitude of headroom over that worst-case growth.
-const DISP_EPS_ABS: f64 = 1e-11;
-
-/// Re-canonicalize a cluster's moments with a batch pass after this many
-/// consecutive incremental updates, bounding drift accumulation on long
-/// runs regardless of how the margin checks fall.
-pub const RECANONICALIZE_INTERVAL: usize = 32;
-
-/// Selection + scoring outputs of one incremental refit; see
-/// [`IncrementalModel::select_and_score_row`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IncrementalScore {
-    /// The cluster score `φᵢ` over the selected dimensions.
-    pub score: f64,
-    /// Upper bound on `|score − canonical score|` from moment drift; `0`
-    /// when the moments are canonical. Any consumer comparing `score`
-    /// against another quantity within this margin must re-canonicalize
-    /// and recompute before deciding.
-    pub margin: f64,
-}
-
-/// Incrementally-maintained per-(cluster, dimension) statistics: the
-/// delta-driven counterpart of [`ClusterModel`].
-///
-/// Holds one Welford accumulator ([`RunningStats`]) and one
-/// order-statistics multiset ([`MedianSet`]) per dimension, updated from
-/// the objects that joined/left the cluster ([`IncrementalModel::apply_delta`])
-/// instead of refitting from scratch — `O(|Δ|·d)` per iteration instead of
-/// `O(nᵢ·d)`.
-///
-/// # Exactness
-///
-/// * **Medians are always exact**: `total_cmp` is a total order, so the
-///   multiset median is a deterministic function of the members and the
-///   [`MedianSet`] returns exactly the bits a batch
-///   [`median_in_place`] selection would.
-/// * **Moments drift**: floating-point summation is order-sensitive, so
-///   incrementally updated mean/variance can differ from the batch Welford
-///   chain in the last ulps. Every decision derived from them therefore
-///   carries an explicit error budget (`DISP_EPS_REL` / `DISP_EPS_ABS`):
-///   a comparison closer than the budget returns "uncertain" and the caller
-///   re-canonicalizes ([`IncrementalModel::canonicalize_moments`] — a batch
-///   gather + Welford pass that resets drift to zero) before deciding.
-///   Canonical moments make every derived quantity bit-identical to the
-///   [`ClusterModel`] path.
-#[derive(Debug, Clone)]
-pub struct IncrementalModel {
-    size: usize,
-    moments: Vec<RunningStats>,
-    meds: Vec<MedianSet>,
-    canonical: bool,
-    deltas_since_canonical: usize,
-    /// Staging buffer for the sorted bulk-load of the median multisets;
-    /// grown on first rebuild, reused afterwards.
-    key_scratch: Vec<u64>,
-    /// Transposed staging buffer for delta values
-    /// (`delta_scratch[j·|Δ| + i]` = dimension `j` of delta object `i`):
-    /// lets [`IncrementalModel::apply_delta`] walk dimensions in the outer
-    /// loop — each per-dimension structure is touched once per delta
-    /// instead of once per object, which is what makes the update
-    /// cache-friendly — while reading contiguous dataset rows.
-    delta_scratch: Vec<f64>,
-}
-
-impl IncrementalModel {
-    /// An empty model over `n_dims` dimensions.
-    pub fn new(n_dims: usize) -> Self {
-        IncrementalModel {
-            size: 0,
-            moments: vec![RunningStats::new(); n_dims],
-            meds: vec![MedianSet::new(); n_dims],
-            canonical: true,
-            deltas_since_canonical: 0,
-            key_scratch: Vec::new(),
-            delta_scratch: Vec::new(),
-        }
-    }
-
-    /// Number of member objects currently summarized.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Whether the moments currently carry zero drift (every statistic is
-    /// bit-identical to a batch refit of the same members).
-    pub fn is_canonical(&self) -> bool {
-        self.canonical
-    }
-
-    /// Whether enough incremental updates accumulated since the last batch
-    /// pass that the caller should re-canonicalize regardless of margins.
-    pub fn wants_recanonicalization(&self) -> bool {
-        !self.canonical && self.deltas_since_canonical >= RECANONICALIZE_INTERVAL
-    }
-
-    /// Empties the model (keeping allocations); the next use must be a
-    /// [`IncrementalModel::rebuild_with_scratch`].
-    pub fn clear(&mut self) {
-        for m in &mut self.moments {
-            *m = RunningStats::new();
-        }
-        for s in &mut self.meds {
-            s.clear();
-        }
-        self.size = 0;
-        self.canonical = true;
-        self.deltas_since_canonical = 0;
-    }
-
-    /// Rebuilds the model from scratch over `members`: one canonical
-    /// (batch-order) Welford chain per dimension plus a sorted rebuild of
-    /// every median multiset. `O(nᵢ·d log nᵢ)` — the investment that makes
-    /// subsequent [`IncrementalModel::apply_delta`] calls `O(|Δ|·d)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InsufficientData`] for an empty member set.
-    pub fn rebuild_with_scratch(
-        &mut self,
-        dataset: &Dataset,
-        members: &[ObjectId],
-        scratch: &mut FitScratch,
-    ) -> Result<()> {
-        if members.is_empty() {
-            return Err(Error::InsufficientData(
-                "cannot rebuild an incremental model on zero members".into(),
-            ));
-        }
-        debug_assert_eq!(self.moments.len(), dataset.n_dims());
-        let moments = &mut self.moments;
-        let meds = &mut self.meds;
-        let keys = &mut self.key_scratch;
-        columnar_chains(dataset, members, scratch, |j, stats, buf| {
-            moments[j] = stats;
-            meds[j].rebuild_from_unsorted(buf, keys);
-        });
-        self.size = members.len();
-        self.canonical = true;
-        self.deltas_since_canonical = 0;
-        Ok(())
-    }
-
-    /// Applies one assignment delta: every dimension of each object in
-    /// `removed` leaves the statistics, then each object in `added` joins.
-    /// `O((|removed| + |added|)·d)`.
-    ///
-    /// The update stages the delta objects' rows into a transposed scratch
-    /// and then walks dimensions in the outer loop, so each per-dimension
-    /// structure (the expensive part of the working set — `d` multisets of
-    /// a few KB each) is pulled into cache once per delta rather than once
-    /// per object. The removals of a dimension are applied before its
-    /// insertions, matching the removed-then-added order of the
-    /// object-by-object formulation.
-    ///
-    /// The caller must guarantee every removed object is currently a
-    /// member (checked in debug builds); the moments become non-canonical.
-    pub fn apply_delta(&mut self, dataset: &Dataset, removed: &[ObjectId], added: &[ObjectId]) {
-        let total = removed.len() + added.len();
-        if total == 0 {
-            return;
-        }
-        let nr = removed.len();
-        let d = self.moments.len();
-        self.delta_scratch.resize(d * total, 0.0);
-        for (i, &o) in removed.iter().chain(added).enumerate() {
-            for (j, &v) in dataset.row(o).iter().enumerate() {
-                self.delta_scratch[j * total + i] = v;
-            }
-        }
-        for ((mom, med), vals) in self
-            .moments
-            .iter_mut()
-            .zip(&mut self.meds)
-            .zip(self.delta_scratch.chunks_exact(total))
-        {
-            for &v in &vals[..nr] {
-                mom.remove(v);
-                let was_present = med.remove(v);
-                debug_assert!(was_present, "removed object was not a member");
-            }
-            for &v in &vals[nr..] {
-                mom.push(v);
-                med.insert(v);
-            }
-        }
-        self.size = self.size + added.len() - removed.len();
-        self.canonical = false;
-        self.deltas_since_canonical += 1;
-    }
-
-    /// Recomputes the moments with a canonical batch pass (gather + Welford
-    /// in member order) without touching the median multisets, which are
-    /// exact by construction. Resets the drift budget: afterwards every
-    /// derived statistic is bit-identical to a batch refit.
-    pub fn canonicalize_moments(
-        &mut self,
-        dataset: &Dataset,
-        members: &[ObjectId],
-        scratch: &mut FitScratch,
-    ) {
-        debug_assert_eq!(members.len(), self.size, "members drifted from model");
-        let moments = &mut self.moments;
-        columnar_chains(dataset, members, scratch, |j, stats, _| {
-            moments[j] = stats;
-        });
-        self.canonical = true;
-        self.deltas_since_canonical = 0;
-    }
-
-    /// The current multiset median of dimension `j` (always exact).
-    pub fn median(&self, j: DimId) -> Option<f64> {
-        self.meds[j.index()].median()
-    }
-
-    /// `SelectDim` + cluster scoring from the incremental statistics, in
-    /// one pass over all dimensions against a prefetched threshold row.
-    ///
-    /// Fills `dims` with the selected dimensions (ascending) and `medians`
-    /// with **all** per-dimension medians (the median-representative step
-    /// wants every dimension, selected or not), then returns the cluster
-    /// score with its drift margin.
-    ///
-    /// Returns `None` when any selection comparison falls inside the
-    /// moment-drift budget — the decision would be untrustworthy — in which
-    /// case `dims` / `medians` are left partially written and the caller
-    /// must [`IncrementalModel::canonicalize_moments`] and call again (with
-    /// canonical moments every comparison is exact and the margin is zero).
-    ///
-    /// When the moments are canonical the outputs are bit-identical to
-    /// [`ClusterModel::select_dims_row`] + [`ClusterModel::cluster_score_row`]
-    /// + per-dimension [`Summary::median`]s of a batch fit.
-    pub fn select_and_score_row(
-        &self,
-        threshold_row: &[f64],
-        dims: &mut Vec<DimId>,
-        medians: &mut Vec<f64>,
-    ) -> Option<IncrementalScore> {
-        dims.clear();
-        medians.clear();
-        let weight = self.size as f64 - 1.0;
-        // The batch path scores via `Iterator::sum::<f64>`, which folds
-        // from -0.0; start there so a zero-selection cluster gets the same
-        // score bits.
-        let mut score = -0.0;
-        let mut margin = 0.0;
-        for (j, (mom, med)) in self.moments.iter().zip(&self.meds).enumerate() {
-            let median = med.median().expect("select on empty model");
-            medians.push(median);
-            let t = threshold_row[j];
-            if !(t > 0.0) {
-                // Degenerate (constant) dimension: never selected, exactly
-                // as in the batch path.
-                continue;
-            }
-            let mean = mom.mean();
-            let shift = mean - median;
-            let disp = mom.sample_variance() + shift * shift;
-            if !self.canonical {
-                let budget = DISP_EPS_REL * (disp + t)
-                    + DISP_EPS_ABS * (1.0 + mean.abs()) * (1.0 + shift.abs());
-                if (disp - t).abs() <= budget {
-                    return None;
-                }
-                if disp < t {
-                    margin += weight * (budget / t);
-                }
-            }
-            if disp < t {
-                dims.push(DimId(j));
-                let s = weight * (1.0 - disp / t);
-                score += if s.is_finite() { s } else { 0.0 };
-            }
-        }
-        Some(IncrementalScore { score, margin })
     }
 }
 
@@ -954,128 +637,6 @@ mod tests {
             values[o * d + 1] = -3.0 + rng.gen_range(-0.5..0.5);
         }
         Dataset::from_rows(n, d, values).unwrap()
-    }
-
-    #[test]
-    fn incremental_rebuild_matches_batch_fit_bitwise() {
-        let ds = wide_dataset(3);
-        let th = Thresholds::new(ThresholdScheme::MFraction(0.5), &ds).unwrap();
-        let members: Vec<ObjectId> = (0..15).map(ObjectId).collect();
-        let mut scratch = FitScratch::new();
-        let model = ClusterModel::fit_with_scratch(&ds, &members, &mut scratch).unwrap();
-        let mut inc = IncrementalModel::new(ds.n_dims());
-        inc.rebuild_with_scratch(&ds, &members, &mut scratch)
-            .unwrap();
-        assert!(inc.is_canonical());
-        assert_eq!(inc.size(), members.len());
-
-        let t_row = th.row(members.len());
-        let (mut dims, mut medians) = (Vec::new(), Vec::new());
-        let out = inc
-            .select_and_score_row(&t_row, &mut dims, &mut medians)
-            .expect("canonical moments never report uncertainty");
-        assert_eq!(out.margin, 0.0);
-        assert_eq!(dims, model.select_dims_row(&t_row));
-        assert_eq!(
-            out.score.to_bits(),
-            model.cluster_score_row(&dims, &t_row).to_bits()
-        );
-        for j in ds.dim_ids() {
-            assert_eq!(
-                medians[j.index()].to_bits(),
-                model.summary(j).median.to_bits(),
-                "median bits differ at {j}"
-            );
-        }
-    }
-
-    #[test]
-    fn apply_delta_keeps_medians_exact_and_moments_close() {
-        let ds = wide_dataset(11);
-        let mut scratch = FitScratch::new();
-        let mut members: Vec<ObjectId> = (0..12).map(ObjectId).collect();
-        let mut inc = IncrementalModel::new(ds.n_dims());
-        inc.rebuild_with_scratch(&ds, &members, &mut scratch)
-            .unwrap();
-
-        // Move a few objects in and out.
-        let removed = vec![ObjectId(2), ObjectId(7)];
-        let added = vec![ObjectId(20), ObjectId(25), ObjectId(28)];
-        inc.apply_delta(&ds, &removed, &added);
-        members.retain(|o| !removed.contains(o));
-        members.extend(&added);
-        assert!(!inc.is_canonical());
-        assert_eq!(inc.size(), members.len());
-
-        let reference = ClusterModel::fit_with_scratch(&ds, &members, &mut scratch).unwrap();
-        for j in ds.dim_ids() {
-            // Medians: exact to the bit.
-            assert_eq!(
-                inc.median(j).unwrap().to_bits(),
-                reference.summary(j).median.to_bits(),
-                "median bits differ at {j}"
-            );
-        }
-
-        // Canonicalization restores bit-identical moments.
-        inc.canonicalize_moments(&ds, &members, &mut scratch);
-        assert!(inc.is_canonical());
-        let th = Thresholds::new(ThresholdScheme::MFraction(0.5), &ds).unwrap();
-        let t_row = th.row(members.len());
-        let (mut dims, mut medians) = (Vec::new(), Vec::new());
-        let out = inc
-            .select_and_score_row(&t_row, &mut dims, &mut medians)
-            .unwrap();
-        assert_eq!(dims, reference.select_dims_row(&t_row));
-        assert_eq!(
-            out.score.to_bits(),
-            reference.cluster_score_row(&dims, &t_row).to_bits()
-        );
-    }
-
-    #[test]
-    fn zero_selection_score_bits_match_batch_path() {
-        // A cluster selecting no dimensions scores the empty sum, which
-        // `Iterator::sum::<f64>` (the batch path) folds from -0.0; the
-        // incremental accumulator must produce the same bits.
-        let ds = wide_dataset(21);
-        let mut scratch = FitScratch::new();
-        // Scattered members with a vanishing threshold: nothing selected.
-        let members: Vec<ObjectId> = (15..30).map(ObjectId).collect();
-        let t_row: Vec<f64> = vec![1e-300; ds.n_dims()];
-        let mut inc = IncrementalModel::new(ds.n_dims());
-        inc.rebuild_with_scratch(&ds, &members, &mut scratch)
-            .unwrap();
-        let (mut dims, mut medians) = (Vec::new(), Vec::new());
-        let out = inc
-            .select_and_score_row(&t_row, &mut dims, &mut medians)
-            .unwrap();
-        assert!(dims.is_empty(), "nothing should be selected");
-        let model = ClusterModel::fit_with_scratch(&ds, &members, &mut scratch).unwrap();
-        let batch = model.cluster_score_row(&dims, &t_row);
-        assert_eq!(out.score.to_bits(), batch.to_bits(), "empty-sum bits");
-        assert_eq!(out.score.to_bits(), (-0.0f64).to_bits());
-    }
-
-    #[test]
-    fn incremental_model_clear_and_recanonicalization_budget() {
-        let ds = wide_dataset(5);
-        let mut scratch = FitScratch::new();
-        let members: Vec<ObjectId> = (0..10).map(ObjectId).collect();
-        let mut inc = IncrementalModel::new(ds.n_dims());
-        inc.rebuild_with_scratch(&ds, &members, &mut scratch)
-            .unwrap();
-        assert!(!inc.wants_recanonicalization());
-        for step in 0..RECANONICALIZE_INTERVAL {
-            let o = ObjectId(10 + step % 2);
-            inc.apply_delta(&ds, &[], &[o]);
-            inc.apply_delta(&ds, &[o], &[]);
-        }
-        assert!(inc.wants_recanonicalization());
-        inc.clear();
-        assert_eq!(inc.size(), 0);
-        assert!(inc.is_canonical());
-        assert!(inc.rebuild_with_scratch(&ds, &[], &mut scratch).is_err());
     }
 
     #[test]
