@@ -6,8 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use sspc::objective::{
-    assignment_argmax, assignment_gain_row, assignment_gains_transposed, AssignCandidate,
-    ClusterModel, FitScratch, ASSIGN_BLOCK,
+    assignment_argmax, assignment_gains_transposed, AssignCandidate, ClusterModel, FitScratch,
+    ASSIGN_BLOCK,
 };
 use sspc::{ThresholdScheme, Thresholds};
 use sspc_common::stats::ChiSquared;
@@ -80,57 +80,12 @@ fn bench_fit_layouts(c: &mut Criterion) {
     group.finish();
 }
 
-/// The assignment-phase gain kernel (order-exact 4-wide unroll) at
-/// realistic selected-dimension counts.
-fn bench_gain_row(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gain_row");
-    let d = 1000usize;
-    let data = generate(&config(2000, d), 4).unwrap();
-    let row = data.dataset.row(ObjectId(0)).to_vec();
-    let rep = data.dataset.row(ObjectId(1)).to_vec();
-    let thresholds = Thresholds::new(ThresholdScheme::MFraction(0.5), &data.dataset).unwrap();
-    let t_row = thresholds.row(400);
-    // The pre-unroll formulation, kept here as the measured baseline the
-    // order-exact unroll in `assignment_gain_row` is compared against
-    // (PERFORMANCE.md quotes this A/B).
-    let sequential = |dims: &[DimId]| -> f64 {
-        dims.iter()
-            .map(|&j| {
-                let t = t_row[j.index()];
-                if t <= 0.0 {
-                    return 0.0;
-                }
-                let diff = row[j.index()] - rep[j.index()];
-                1.0 - diff * diff / t
-            })
-            .sum()
-    };
-    for n_dims in [8usize, 20, 100] {
-        let dims: Vec<DimId> = (0..n_dims).map(|j| DimId(j * (d / n_dims))).collect();
-        group.bench_with_input(
-            BenchmarkId::new("unrolled", format!("dims{n_dims}")),
-            &dims,
-            |b, dims| b.iter(|| black_box(assignment_gain_row(&row, &rep, dims, &t_row))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("sequential", format!("dims{n_dims}")),
-            &dims,
-            |b, dims| b.iter(|| black_box(sequential(dims))),
-        );
-    }
-    group.finish();
-}
-
-/// The whole-assignment-phase layout A/B behind the main loop's
-/// shape-based route: the row-wise path (per-object `assignment_gain_row` over every
-/// candidate, strided column reads) against the transposed path
-/// (per-candidate contiguous `column_slice` scans into blocked gain
-/// stripes, then a per-object argmax reduction). Both produce bit-identical
-/// gains; the sweep varies the per-cluster selected-dimension count, which
-/// is what the auto-routing heuristic keys on — transposed pulls ahead as
-/// dimensions widen, row stays competitive on narrow clusters.
-fn bench_assign_layouts(c: &mut Criterion) {
-    let mut group = c.benchmark_group("assign_layout");
+/// The whole assignment phase (step 3) as the main loop runs it:
+/// per-candidate contiguous `column_block` scans into blocked gain
+/// stripes, then a per-object argmax reduction. The sweep varies the
+/// per-cluster selected-dimension count.
+fn bench_assign(c: &mut Criterion) {
+    let mut group = c.benchmark_group("assign");
     let (n, d, k) = (4096usize, 1000usize, 10usize);
     let data = generate(&config(n, d), 5).unwrap();
     let thresholds = Thresholds::new(ThresholdScheme::MFraction(0.5), &data.dataset).unwrap();
@@ -156,32 +111,6 @@ fn bench_assign_layouts(c: &mut Criterion) {
                 threshold_row: &t_row,
             })
             .collect();
-        group.bench_with_input(
-            BenchmarkId::new("row", format!("dims{n_dims}")),
-            &candidates,
-            |b, candidates| {
-                b.iter(|| {
-                    let mut outliers = 0usize;
-                    for i in 0..n {
-                        let row = data.dataset.row(ObjectId(i));
-                        let mut best_gain = 0.0f64;
-                        let mut best = None;
-                        for (cl, cand) in candidates.iter().enumerate() {
-                            let gain =
-                                assignment_gain_row(row, cand.rep, cand.dims, cand.threshold_row);
-                            if gain > best_gain {
-                                best_gain = gain;
-                                best = Some(cl);
-                            }
-                        }
-                        if best.is_none() {
-                            outliers += 1;
-                        }
-                    }
-                    black_box(outliers)
-                })
-            },
-        );
         let mut gains = Vec::new();
         group.bench_with_input(
             BenchmarkId::new("transposed", format!("dims{n_dims}")),
@@ -263,8 +192,7 @@ criterion_group!(
     benches,
     bench_objective,
     bench_fit_layouts,
-    bench_gain_row,
-    bench_assign_layouts,
+    bench_assign,
     bench_chi_square_quantile,
     bench_ari,
     bench_hungarian,

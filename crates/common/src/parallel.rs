@@ -39,27 +39,17 @@ pub fn num_threads() -> usize {
 pub const MIN_CHUNK: usize = 256;
 
 /// Applies `f` to disjoint consecutive chunks of `out`, possibly in
-/// parallel. `f` receives the chunk's starting index in `out` plus the
-/// mutable chunk itself.
+/// parallel, with a per-worker scratch value. `f` receives the chunk's
+/// starting index in `out`, the mutable chunk itself, and the scratch;
+/// `init` runs once per spawned worker (once total when running inline) —
+/// the pattern for reusable per-worker buffers (the assignment phase's
+/// gain buffer) that must not be shared across threads. Pass `|| ()` when
+/// no scratch is needed.
 ///
 /// The chunking is **not observable** in the result as long as `f` writes
 /// `chunk[i]` purely from `(offset + i)` and shared read-only state — which
 /// is the only sanctioned usage. Runs inline when a single thread is
 /// resolved or the input is smaller than [`MIN_CHUNK`].
-pub fn for_each_chunk_mut<T, F>(out: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    for_each_chunk_mut_with(out, || (), |offset, chunk, ()| f(offset, chunk));
-}
-
-/// [`for_each_chunk_mut`] with a per-worker scratch value: `init` runs once
-/// per spawned worker (once total when running inline) and the scratch is
-/// handed to that worker's chunk — the pattern for reusable per-worker
-/// buffers (the transposed assignment phase's gain buffer) that must not be
-/// shared across threads. The chunk boundaries are identical to
-/// [`for_each_chunk_mut`]'s, so the same non-observability contract applies.
 pub fn for_each_chunk_mut_with<T, S, I, F>(out: &mut [T], init: I, f: F)
 where
     T: Send,
@@ -87,23 +77,14 @@ where
 
 /// Applies `f` to every element of `items`, possibly in parallel, where
 /// each element is processed independently (`f` receives the element's
-/// index and a mutable reference).
+/// index, a mutable reference, and a per-worker scratch value).
 ///
 /// Used for "one task per cluster" parallelism where each task is large;
 /// spawns at most one thread per element and runs inline for a single
-/// resolved thread.
-pub fn for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    for_each_mut_with(items, || (), |i, item, ()| f(i, item));
-}
-
-/// [`for_each_mut`] with a per-worker scratch value: `init` runs once per
-/// spawned worker (once total when running inline) and the scratch is
-/// threaded through that worker's elements — the pattern for reusable
-/// gather buffers whose contents must not leak between results.
+/// resolved thread. `init` runs once per spawned worker (once total when
+/// running inline) and the scratch is threaded through that worker's
+/// elements — the pattern for reusable gather buffers whose contents must
+/// not leak between results.
 pub fn for_each_mut_with<T, S, I, F>(items: &mut [T], init: I, f: F)
 where
     T: Send,
@@ -153,9 +134,9 @@ struct QueueState<T> {
 /// worker pools (Mutex + Condvar; no dependencies).
 ///
 /// This is the *control-plane* counterpart to the data-parallel helpers
-/// above: [`for_each_chunk_mut`] splits one computation across threads,
-/// while `TaskQueue` feeds a pool of persistent workers a stream of
-/// independent tasks — the batch server's job queue. Pushing never blocks:
+/// above: [`for_each_chunk_mut_with`] splits one computation across
+/// threads, while `TaskQueue` feeds a pool of persistent workers a stream
+/// of independent tasks — the batch server's job queue. Pushing never blocks:
 /// at capacity, [`TaskQueue::try_push`] refuses with [`PushError::Full`]
 /// so the producer can surface backpressure instead of buffering without
 /// bound. Popping blocks until a task or queue shutdown arrives.
@@ -261,12 +242,16 @@ mod tests {
     fn chunked_fill_is_identical_across_thread_counts() {
         let compute = || {
             let mut out = vec![0.0f64; 10_000];
-            for_each_chunk_mut(&mut out, |offset, chunk| {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    let idx = (offset + i) as f64;
-                    *slot = (idx * 0.37).sin() + idx.sqrt();
-                }
-            });
+            for_each_chunk_mut_with(
+                &mut out,
+                || (),
+                |offset, chunk, ()| {
+                    for (i, slot) in chunk.iter_mut().enumerate() {
+                        let idx = (offset + i) as f64;
+                        *slot = (idx * 0.37).sin() + idx.sqrt();
+                    }
+                },
+            );
             out
         };
         let serial = with_threads("1", compute);
@@ -280,7 +265,7 @@ mod tests {
     fn for_each_mut_touches_every_element_once() {
         let run = || {
             let mut items = vec![0usize; 37];
-            for_each_mut(&mut items, |i, item| *item = i * 2);
+            for_each_mut_with(&mut items, || (), |i, item, ()| *item = i * 2);
             items
         };
         let serial = with_threads("1", run);
@@ -355,11 +340,15 @@ mod tests {
     #[test]
     fn small_inputs_run_inline() {
         let mut out = vec![0u8; 16];
-        for_each_chunk_mut(&mut out, |offset, chunk| {
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                *slot = (offset + i) as u8;
-            }
-        });
+        for_each_chunk_mut_with(
+            &mut out,
+            || (),
+            |offset, chunk, ()| {
+                for (i, slot) in chunk.iter_mut().enumerate() {
+                    *slot = (offset + i) as u8;
+                }
+            },
+        );
         assert_eq!(out[15], 15);
     }
 }

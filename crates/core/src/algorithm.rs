@@ -16,8 +16,8 @@
 
 use crate::cluster::{ClusterState, SeedSource, Snapshot};
 use crate::objective::{
-    assignment_argmax, assignment_gain, assignment_gain_row, assignment_gains_transposed,
-    AssignCandidate, ClusterModel, FitScratch, ASSIGN_BLOCK,
+    assignment_argmax, assignment_gain, assignment_gains_transposed, AssignCandidate, ClusterModel,
+    FitScratch, ASSIGN_BLOCK,
 };
 use crate::seeds::{draw_seed, Initializer, SeedGroups};
 use crate::{SspcParams, SspcResult, Supervision, Thresholds};
@@ -28,29 +28,6 @@ use sspc_common::rng::seeded_rng;
 use sspc_common::{ClusterId, Dataset, Error, Result};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// The transposed assignment kernel engages when clusters select at least
-/// this many dimensions on average. The `assign_layout` group of
-/// `benches/kernels.rs` measured transposed ahead at *every* tested width —
-/// 6.2× at 4 avg dims, still 2.3× at 100 (see PERFORMANCE.md) — so the
-/// guard is set at the floor where a per-cluster dimension even exists to
-/// scan contiguously; the object-count guard ([`ASSIGN_BLOCK`]) is what
-/// actually excludes the shapes too small for the stripe traffic to
-/// amortize.
-const ASSIGN_TRANSPOSED_MIN_AVG_DIMS: usize = 2;
-
-/// Whether an assignment pass (step 3) takes the transposed kernel
-/// ([`assignment_gains_transposed`]) rather than per-object row scans
-/// ([`assignment_gain_row`]). It wants (a) enough objects for at least one
-/// full block — below that the stripe setup is pure overhead — and (b) wide
-/// average dimension selections, where the row path's scattered `row[j]`
-/// probes touch one cache line each while the transposed path streams
-/// columns. Both kernels produce bit-identical decisions, so the choice
-/// only moves work between equivalent kernels.
-fn use_transposed(clusters: &[ClusterState], n: usize) -> bool {
-    let total_dims: usize = clusters.iter().map(|cl| cl.dims.len()).sum();
-    n >= ASSIGN_BLOCK && total_dims >= clusters.len() * ASSIGN_TRANSPOSED_MIN_AVG_DIMS
-}
 
 /// Step 4 for one cluster on the fast path: `SelectDim` + scoring from a
 /// columnar fit, with the per-dimension medians cached for the
@@ -163,9 +140,7 @@ impl Sspc {
         supervision: &Supervision,
         seed: u64,
     ) -> Result<SspcResult> {
-        // The `naive` feature routes the default entry point through the
-        // reference scalar path for whole-binary A/B runs.
-        self.run_impl(dataset, supervision, seed, cfg!(feature = "naive"), None)
+        self.run_impl(dataset, supervision, seed, false, None)
     }
 
     /// [`Sspc::run`] with a per-phase wall-clock breakdown. Identical
@@ -182,13 +157,7 @@ impl Sspc {
         seed: u64,
     ) -> Result<(SspcResult, PhaseTimings)> {
         let mut timings = PhaseTimings::default();
-        let result = self.run_impl(
-            dataset,
-            supervision,
-            seed,
-            cfg!(feature = "naive"),
-            Some(&mut timings),
-        )?;
+        let result = self.run_impl(dataset, supervision, seed, false, Some(&mut timings))?;
         Ok((result, timings))
     }
 
@@ -530,67 +499,43 @@ impl Sspc {
         }
 
         // Fast path: one threshold row per cluster for the whole pass
-        // (fetched once, not once per (object, dimension)), decisions in
-        // parallel, membership built serially in object order.
+        // (fetched once, not once per (object, dimension)). Per candidate,
+        // walk its selected dimensions in order over a cache-resident block
+        // of the columnar mirror, accumulating into a per-worker gain
+        // buffer, then reduce each object to its argmax. Each object
+        // receives the same sequence of adds as the naive path's row scan
+        // — bit-identical decisions — and the workers own disjoint object
+        // chunks; membership is built serially in object order.
         let rows: Vec<Arc<[f64]>> = clusters
             .iter()
             .map(|cl| thresholds.row(cl.ref_size))
             .collect();
-        let frozen: &[ClusterState] = clusters;
+        let candidates: Vec<AssignCandidate<'_>> = clusters
+            .iter()
+            .zip(&rows)
+            .map(|(cl, row)| AssignCandidate {
+                rep: &cl.rep,
+                dims: &cl.dims,
+                threshold_row: row,
+            })
+            .collect();
+        let candidates = &candidates;
         let pinned_ref: &[bool] = pinned;
-        if use_transposed(frozen, n) {
-            // Transposed path: per candidate, walk its selected dimensions
-            // in order over a cache-resident block of the columnar mirror,
-            // accumulating into a per-worker gain buffer, then reduce each
-            // object to its argmax. Produces the same sequence of adds per
-            // object as the row kernel — bit-identical decisions — and
-            // parallelizes over the same disjoint chunks.
-            let candidates: Vec<AssignCandidate<'_>> = frozen
-                .iter()
-                .zip(&rows)
-                .map(|(cl, row)| AssignCandidate {
-                    rep: &cl.rep,
-                    dims: &cl.dims,
-                    threshold_row: row,
-                })
-                .collect();
-            let candidates = &candidates;
-            parallel::for_each_chunk_mut_with(assignment, Vec::new, |offset, chunk, gains| {
-                let mut start = 0;
-                while start < chunk.len() {
-                    let block_len = (chunk.len() - start).min(ASSIGN_BLOCK);
-                    let block_start = offset + start;
-                    assignment_gains_transposed(dataset, block_start, block_len, candidates, gains);
-                    for i in 0..block_len {
-                        if pinned_ref[block_start + i] {
-                            continue;
-                        }
-                        chunk[start + i] = assignment_argmax(gains, block_len, i).map(ClusterId);
-                    }
-                    start += block_len;
-                }
-            });
-        } else {
-            parallel::for_each_chunk_mut(assignment, |offset, chunk| {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    let o = sspc_common::ObjectId(offset + i);
-                    if pinned_ref[o.index()] {
+        parallel::for_each_chunk_mut_with(assignment, Vec::new, |offset, chunk, gains| {
+            let mut start = 0;
+            while start < chunk.len() {
+                let block_len = (chunk.len() - start).min(ASSIGN_BLOCK);
+                let block_start = offset + start;
+                assignment_gains_transposed(dataset, block_start, block_len, candidates, gains);
+                for i in 0..block_len {
+                    if pinned_ref[block_start + i] {
                         continue;
                     }
-                    let row = dataset.row(o);
-                    let mut best_gain = 0.0f64;
-                    let mut best_cluster: Option<usize> = None;
-                    for (c, cl) in frozen.iter().enumerate() {
-                        let gain = assignment_gain_row(row, &cl.rep, &cl.dims, &rows[c]);
-                        if gain > best_gain {
-                            best_gain = gain;
-                            best_cluster = Some(c);
-                        }
-                    }
-                    *slot = best_cluster.map(ClusterId);
+                    chunk[start + i] = assignment_argmax(gains, block_len, i).map(ClusterId);
                 }
-            });
-        }
+                start += block_len;
+            }
+        });
         for o in dataset.object_ids() {
             if pinned[o.index()] {
                 continue;

@@ -1587,13 +1587,15 @@ fn handle_connection(mut stream: TcpStream, state: &RouterState) {
 /// Rejoins a revived shard through the handoff path: its stale spool is
 /// replayed (records it no longer answers for get staged and published
 /// into the owed table), *then* the cutover puts it back on the ring.
-/// The failover latch resets so a second death replays again.
+/// The failover latch resets so a second death replays again. A shard
+/// that has left the roster (`Gone`) never rejoins: the prober may still
+/// hold it in a roster snapshot taken before the leave.
 fn rejoin(state: &RouterState, shard: &Shard) {
     let _op = state
         .membership_lock
         .lock()
         .expect("membership lock poisoned");
-    if shard.alive.load(Ordering::SeqCst) {
+    if shard.alive.load(Ordering::SeqCst) || shard.membership() == Membership::Gone {
         return;
     }
     let rejoined = handoff_stale_spool(state, shard)
@@ -2037,5 +2039,36 @@ mod tests {
         router.shutdown();
         healthy.shutdown();
         let _ = std::fs::remove_dir_all(&spool);
+    }
+
+    /// A prober whose roster snapshot predates a dead-mode leave still
+    /// holds the removed shard; its successful probe must not put the
+    /// `gone` shard back on the ring.
+    #[test]
+    fn rejoin_ignores_a_shard_removed_in_dead_mode() {
+        let a = Server::start(&shard_config(0, 1, None)).unwrap();
+        let b = Server::start(&shard_config(1, 1, None)).unwrap();
+        let router = router_over(&[(&a, 0), (&b, 1)], None);
+        let addr = router.addr().to_string();
+        let snapshot = router.state.shard(0).expect("shard 0 in the roster");
+
+        let (status, gone) =
+            crate::http::request(&addr, "DELETE", "/admin/shards/0?mode=dead", None).unwrap();
+        assert_eq!(status, 200, "dead removal: {gone:?}");
+        rejoin(&router.state, &snapshot);
+
+        assert!(
+            !router.state.ring.lock().unwrap().contains(0),
+            "a gone shard is back on the ring"
+        );
+        assert!(
+            router.state.shard(0).is_none(),
+            "a gone shard is back in the roster"
+        );
+        assert_eq!(snapshot.membership(), Membership::Gone);
+        assert!(!snapshot.alive.load(Ordering::SeqCst));
+        router.shutdown();
+        a.shutdown();
+        b.shutdown();
     }
 }

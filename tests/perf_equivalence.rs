@@ -131,7 +131,10 @@ fn run_is_reproducible_across_thread_counts() {
 }
 
 /// The full fast path (columnar + parallel + scratch reuse) reproduces the
-/// reference scalar path bit-for-bit.
+/// reference scalar path bit-for-bit. At n = 150 the transposed assignment
+/// kernel runs one partial block per worker;
+/// `multi_block_assign_equals_naive_bitwise` covers several chunks and
+/// blocks.
 #[test]
 fn run_equals_run_naive_bitwise() {
     let _guard = ENV_LOCK.lock().unwrap();
@@ -377,13 +380,14 @@ proptest! {
     }
 }
 
-/// The assignment phase's shape-based route must be invisible in the
-/// results. This input is large enough (n ≥ the transposed block size,
-/// several selected dims per cluster) that the fast path takes the
-/// transposed kernel; `run_equals_run_naive_bitwise` covers the row kernel
-/// at n = 150. Both must equal `run_naive` at 1, 2, and 8 threads.
+/// The assignment phase's chunk and block partition must be invisible in
+/// the results. At n = 1500 the fast path splits the objects into several
+/// worker chunks and, serially, into a full transposed block plus a
+/// partial one; `run_equals_run_naive_bitwise` and
+/// `long_runs_equal_naive_bitwise` cover one partial block per worker.
+/// The fast path must equal `run_naive` at 1, 2, and 8 threads.
 #[test]
-fn auto_assign_route_equals_naive_bitwise() {
+fn multi_block_assign_equals_naive_bitwise() {
     let _guard = ENV_LOCK.lock().unwrap();
     let ds = planted(1500, 24, 3, 2026);
     let sup = Supervision::none()
