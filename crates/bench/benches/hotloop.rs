@@ -89,7 +89,7 @@ fn main() {
     // other) alongside the wall clock — the breakdown of the best (min
     // total) round is what lands in the record, so assignment-phase wins
     // are attributable instead of inferred from whole-run deltas. The
-    // timing collector costs two `Instant` reads per outer iteration.
+    // timing collector costs four `Instant` reads per outer iteration.
     let time_path = |label: &str,
                      f: &dyn Fn() -> (SspcResult, PhaseTimings)|
      -> (f64, SspcResult, PhaseTimings) {

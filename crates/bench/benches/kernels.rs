@@ -6,8 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use sspc::objective::{
-    assignment_argmax, assignment_gains_transposed, AssignCandidate, ClusterModel, FitScratch,
-    ASSIGN_BLOCK,
+    assignment_argmax, assignment_gains_transposed, AssignCandidate, ClusterModel, ASSIGN_BLOCK,
 };
 use sspc::{ThresholdScheme, Thresholds};
 use sspc_common::stats::ChiSquared;
@@ -47,28 +46,30 @@ fn bench_objective(c: &mut Criterion) {
     group.finish();
 }
 
-/// Columnar gather (`fit_with_scratch`) vs the row-major strided reference
-/// (`fit_naive`) — the core of the PR-1 performance layer. The gap widens
-/// with `d` (stride `8·d` bytes between consecutive reads of one dimension
-/// in the naive path).
+/// Columnar gather (`ClusterModel::fit`) vs the row-major strided
+/// reference (`fit_naive`) — the core of the PR-1 performance layer. The
+/// gap widens with `d` (stride `8·d` bytes between consecutive reads of
+/// one dimension in the naive path). The columnar arm runs at 1 and 2
+/// worker threads (`SSPC_NUM_THREADS`): `fit` splits the dimensions into
+/// one range per worker once `d` exceeds `parallel::MIN_CHUNK`, so the
+/// `t2` arm shows the split's speedup at d = 1000 and 3000 (at d = 100 it
+/// runs inline, like `t1`).
 fn bench_fit_layouts(c: &mut Criterion) {
     let mut group = c.benchmark_group("fit_layout");
     for (n, d) in [(1000usize, 100usize), (150, 3000), (5000, 1000)] {
         let data = generate(&config(n, d), 1).unwrap();
         let members: Vec<ObjectId> = data.truth.members_of(ClusterId(0));
-        let mut scratch = FitScratch::new();
-        group.bench_with_input(
-            BenchmarkId::new("columnar", format!("n{n}_d{d}")),
-            &(&data, &members),
-            |b, (data, members)| {
-                b.iter(|| {
-                    black_box(
-                        ClusterModel::fit_with_scratch(&data.dataset, members, &mut scratch)
-                            .unwrap(),
-                    )
-                })
-            },
-        );
+        for threads in [1usize, 2] {
+            std::env::set_var("SSPC_NUM_THREADS", threads.to_string());
+            group.bench_with_input(
+                BenchmarkId::new(format!("columnar_t{threads}"), format!("n{n}_d{d}")),
+                &(&data, &members),
+                |b, (data, members)| {
+                    b.iter(|| black_box(ClusterModel::fit(&data.dataset, members).unwrap()))
+                },
+            );
+        }
+        std::env::remove_var("SSPC_NUM_THREADS");
         group.bench_with_input(
             BenchmarkId::new("naive", format!("n{n}_d{d}")),
             &(&data, &members),

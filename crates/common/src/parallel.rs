@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, OnceLock};
 
 /// Resolved worker-thread count for data-parallel sections.
 pub fn num_threads() -> usize {
@@ -29,9 +29,15 @@ pub fn num_threads() -> usize {
             }
         }
     }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    // The probe reads the affinity mask and the cgroup CPU quota from
+    // /proc and /sys (about 15 µs on a 2-core VM), and every parallel
+    // section asks for the count, so it is taken once per process.
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    *AVAILABLE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Minimum number of elements per spawned thread; below this the spawn
@@ -41,10 +47,11 @@ pub const MIN_CHUNK: usize = 256;
 /// Applies `f` to disjoint consecutive chunks of `out`, possibly in
 /// parallel, with a per-worker scratch value. `f` receives the chunk's
 /// starting index in `out`, the mutable chunk itself, and the scratch;
-/// `init` runs once per spawned worker (once total when running inline) —
-/// the pattern for reusable per-worker buffers (the assignment phase's
-/// gain buffer) that must not be shared across threads. Pass `|| ()` when
-/// no scratch is needed.
+/// `init` runs once per worker — the pattern for per-worker buffers (the
+/// assignment phase's gain stripes, a cluster fit's gather buffer) that
+/// must not be shared across threads. Pass `|| ()` when no scratch is
+/// needed. The calling thread works the first chunk itself, so a split
+/// into `t` chunks spawns `t − 1` threads.
 ///
 /// The chunking is **not observable** in the result as long as `f` writes
 /// `chunk[i]` purely from `(offset + i)` and shared read-only state — which
@@ -64,7 +71,11 @@ where
     }
     let chunk_len = out.len().div_ceil(threads);
     std::thread::scope(|scope| {
-        for (idx, chunk) in out.chunks_mut(chunk_len).enumerate() {
+        let mut chunks = out.chunks_mut(chunk_len).enumerate();
+        // The calling thread works the first chunk itself, so a section
+        // spawns one thread fewer than it has workers.
+        let (_, first) = chunks.next().expect("out is non-empty here");
+        for (idx, chunk) in chunks {
             let f = &f;
             let init = &init;
             scope.spawn(move || {
@@ -72,45 +83,8 @@ where
                 f(idx * chunk_len, chunk, &mut scratch);
             });
         }
-    });
-}
-
-/// Applies `f` to every element of `items`, possibly in parallel, where
-/// each element is processed independently (`f` receives the element's
-/// index, a mutable reference, and a per-worker scratch value).
-///
-/// Used for "one task per cluster" parallelism where each task is large;
-/// spawns at most one thread per element and runs inline for a single
-/// resolved thread. `init` runs once per spawned worker (once total when
-/// running inline) and the scratch is threaded through that worker's
-/// elements — the pattern for reusable gather buffers whose contents must
-/// not leak between results.
-pub fn for_each_mut_with<T, S, I, F>(items: &mut [T], init: I, f: F)
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(usize, &mut T, &mut S) + Sync,
-{
-    if num_threads() == 1 || items.len() <= 1 {
         let mut scratch = init();
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item, &mut scratch);
-        }
-        return;
-    }
-    let threads = num_threads().min(items.len());
-    let chunk_len = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (c, chunk) in items.chunks_mut(chunk_len).enumerate() {
-            let f = &f;
-            let init = &init;
-            scope.spawn(move || {
-                let mut scratch = init();
-                for (i, item) in chunk.iter_mut().enumerate() {
-                    f(c * chunk_len + i, item, &mut scratch);
-                }
-            });
-        }
+        f(0, first, &mut scratch);
     });
 }
 
@@ -259,19 +233,6 @@ mod tests {
             let parallel = with_threads(n, compute);
             assert_eq!(serial, parallel, "thread count {n} changed the result");
         }
-    }
-
-    #[test]
-    fn for_each_mut_touches_every_element_once() {
-        let run = || {
-            let mut items = vec![0usize; 37];
-            for_each_mut_with(&mut items, || (), |i, item, ()| *item = i * 2);
-            items
-        };
-        let serial = with_threads("1", run);
-        let parallel = with_threads("4", run);
-        assert_eq!(serial, parallel);
-        assert!(serial.iter().enumerate().all(|(i, &v)| v == i * 2));
     }
 
     #[test]

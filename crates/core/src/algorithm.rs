@@ -17,7 +17,7 @@
 use crate::cluster::{ClusterState, SeedSource, Snapshot};
 use crate::objective::{
     assignment_argmax, assignment_gain, assignment_gains_transposed, AssignCandidate, ClusterModel,
-    FitScratch, ASSIGN_BLOCK,
+    ASSIGN_BLOCK,
 };
 use crate::seeds::{draw_seed, Initializer, SeedGroups};
 use crate::{SspcParams, SspcResult, Supervision, Thresholds};
@@ -30,17 +30,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Step 4 for one cluster on the fast path: `SelectDim` + scoring from a
-/// columnar fit, with the per-dimension medians cached for the
-/// median-representative step and the whole fit skipped when the member
-/// list is unchanged since the last fit (the fit is a pure function of the
-/// members, so the cached `dims` / `score` / `medians` are exactly what a
-/// refit would produce — stall iterations repeat most memberships).
-fn refit_cluster(
-    dataset: &Dataset,
-    thresholds: &Thresholds,
-    cl: &mut ClusterState,
-    scratch: &mut FitScratch,
-) {
+/// columnar, dimension-parallel fit, with the per-dimension medians cached
+/// for the median-representative step and the whole fit skipped when the
+/// member list is unchanged since the last fit (the fit is a pure function
+/// of the members, so the cached `dims` / `score` / `medians` are exactly
+/// what a refit would produce — stall iterations repeat most memberships).
+fn refit_cluster(dataset: &Dataset, thresholds: &Thresholds, cl: &mut ClusterState) {
     if cl.members.is_empty() {
         cl.reset_empty_fit();
         return;
@@ -48,8 +43,7 @@ fn refit_cluster(
     if cl.fitted_members == cl.members {
         return;
     }
-    let model = ClusterModel::fit_with_scratch(dataset, &cl.members, scratch)
-        .expect("non-empty members fit");
+    let model = ClusterModel::fit(dataset, &cl.members).expect("non-empty members fit");
     let t_row = thresholds.row(model.size());
     cl.dims = model.select_dims_row(&t_row);
     cl.score = model.cluster_score_row(&cl.dims, &t_row);
@@ -62,8 +56,9 @@ fn refit_cluster(
 /// Wall-clock breakdown of one run, filled by
 /// [`Sspc::run_with_timings`] / [`Sspc::run_naive_with_timings`]: where
 /// the iterations actually spend their time, so assignment-phase wins are
-/// attributable instead of inferred from whole-run deltas. The default
-/// entry points pass no collector and pay no `Instant` reads.
+/// attributable instead of inferred from whole-run deltas. A timed run
+/// reads the clock four times per outer iteration; the default entry
+/// points pass no collector and pay no `Instant` reads.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
     /// Step 3 (assignment) total, seconds.
@@ -144,8 +139,10 @@ impl Sspc {
     }
 
     /// [`Sspc::run`] with a per-phase wall-clock breakdown. Identical
-    /// computation and result — the only difference is two `Instant` reads
-    /// per outer iteration, amortized over whole assignment/refit phases.
+    /// computation and result — the only difference is four `Instant`
+    /// reads per outer iteration (a start and an end around each of the
+    /// assignment and refit phases) plus three per run, amortized over
+    /// whole phases.
     ///
     /// # Errors
     ///
@@ -265,15 +262,11 @@ impl Sspc {
         let mut iterations = 0usize;
 
         // Scratch reused across iterations: the assignment vector, the
-        // pinned-object mask, the fit gather buffer, and the median gather
-        // buffer. The main loop allocates nothing per iteration once the
-        // first iteration has sized these — except the multi-threaded
-        // fan-out paths, whose per-iteration zip/spawn bookkeeping (a
-        // k-element Vec, one thread per worker) is inherent to scoped
-        // threads and dwarfed by the spawns themselves.
+        // pinned-object mask and the median gather buffer. Each refit
+        // allocates its own summaries and one gather buffer per worker
+        // (`ClusterModel::fit`); those are small next to the fit itself.
         let mut assignment: Vec<Option<ClusterId>> = vec![None; n];
         let mut pinned = vec![false; n];
-        let mut fit_scratch = FitScratch::new();
         let mut median_scratch: Vec<f64> = Vec::new();
 
         while iterations < self.params.max_iterations {
@@ -299,9 +292,9 @@ impl Sspc {
             }
             let phase_start = timings.is_some().then(Instant::now);
 
-            // Step 4: SelectDim + scoring with actual medians. Each
-            // cluster's refit is independent; the fast path fans the `k`
-            // fits out across threads.
+            // Step 4: SelectDim + scoring with actual medians. The fast
+            // path's parallelism lives inside each fit, which splits the
+            // dimensions across workers.
             if naive {
                 for cl in clusters.iter_mut() {
                     if cl.members.is_empty() {
@@ -313,31 +306,8 @@ impl Sspc {
                     cl.score = model.cluster_score(&cl.dims, &thresholds);
                 }
             } else {
-                // Fan the fits out only when there is enough gather work
-                // to amortize thread spawns (each element here is a whole
-                // cluster fit, so the gate is on total members, not
-                // element count).
-                let total_members: usize = clusters.iter().map(|cl| cl.members.len()).sum();
-                let serial = parallel::num_threads() == 1 || total_members < parallel::MIN_CHUNK;
-                if serial {
-                    // Serial fast path: columnar fits sharing one gather
-                    // buffer across clusters and iterations.
-                    for cl in clusters.iter_mut() {
-                        refit_cluster(dataset, &thresholds, cl, &mut fit_scratch);
-                    }
-                } else {
-                    // Pre-warm the per-size threshold rows serially so
-                    // the worker threads only read the cache.
-                    for cl in clusters.iter() {
-                        if !cl.members.is_empty() {
-                            thresholds.row(cl.members.len());
-                        }
-                    }
-                    parallel::for_each_mut_with(
-                        &mut clusters,
-                        FitScratch::new,
-                        |_, cl, scratch| refit_cluster(dataset, &thresholds, cl, scratch),
-                    );
+                for cl in clusters.iter_mut() {
+                    refit_cluster(dataset, &thresholds, cl);
                 }
             }
             if let Some(t) = timings.as_deref_mut() {

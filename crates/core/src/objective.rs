@@ -21,7 +21,7 @@
 
 use crate::Thresholds;
 use sspc_common::stats::{median_in_place, RunningStats, Summary};
-use sspc_common::{Dataset, DimId, Error, ObjectId, Result};
+use sspc_common::{parallel, Dataset, DimId, Error, ObjectId, Result};
 
 /// Per-dimension statistics of one cluster's members — everything `φ` and
 /// `SelectDim` need.
@@ -29,22 +29,6 @@ use sspc_common::{Dataset, DimId, Error, ObjectId, Result};
 pub struct ClusterModel {
     size: usize,
     summaries: Vec<Summary>,
-}
-
-/// Reusable buffers for [`ClusterModel::fit_with_scratch`], letting the
-/// main loop fit `k` models per iteration without per-fit allocation.
-#[derive(Debug, Clone, Default)]
-pub struct FitScratch {
-    /// Gather buffer for `LANES` dimensions at a time; grown on demand,
-    /// never shrunk.
-    buf: Vec<f64>,
-}
-
-impl FitScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Number of dimensions the columnar fit processes per pass.
@@ -64,89 +48,37 @@ impl ClusterModel {
     /// the row-major equivalent ([`ClusterModel::fit_naive`]) pays one
     /// cache miss per element once `8·d` exceeds a cache line.
     ///
+    /// The dimensions are split into disjoint consecutive ranges
+    /// ([`parallel::for_each_chunk_mut_with`]), each worker with its own
+    /// gather buffer; every dimension's summary is a pure function of its
+    /// column and `members`, so the split is not observable in the result.
+    /// Within a range, `LANES` dimensions are processed per pass: the
+    /// gather from each column is fused with the Welford accumulation (one
+    /// read per element), and the interleaved chains hide the division
+    /// latency.
+    ///
     /// # Errors
     ///
     /// Returns [`Error::InsufficientData`] for an empty member set.
     pub fn fit(dataset: &Dataset, members: &[ObjectId]) -> Result<Self> {
-        Self::fit_with_scratch(dataset, members, &mut FitScratch::new())
-    }
-
-    /// [`ClusterModel::fit`] with caller-owned scratch buffers; the hot
-    /// loop reuses one [`FitScratch`] across all fits of a run.
-    ///
-    /// Processes `LANES` dimensions per pass: the gather from each
-    /// column is fused with the Welford accumulation (one read per
-    /// element), and the interleaved chains hide the division latency.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InsufficientData`] for an empty member set.
-    pub fn fit_with_scratch(
-        dataset: &Dataset,
-        members: &[ObjectId],
-        scratch: &mut FitScratch,
-    ) -> Result<Self> {
         if members.is_empty() {
             return Err(Error::InsufficientData(
                 "cannot fit a cluster model on zero members".into(),
             ));
         }
         let m = members.len();
-        let d = dataset.n_dims();
-        let mut summaries = Vec::with_capacity(d);
-        let summary = |stats: RunningStats, buf: &mut [f64]| Summary {
-            mean: stats.mean(),
-            variance: stats.sample_variance(),
-            median: median_in_place(buf),
+        let empty = Summary {
+            mean: 0.0,
+            variance: 0.0,
+            median: 0.0,
             count: m,
         };
-        scratch.buf.resize(LANES * m, 0.0);
-
-        let mut j = 0;
-        while j + LANES <= d {
-            let cols = [
-                dataset.column_slice(DimId(j)),
-                dataset.column_slice(DimId(j + 1)),
-                dataset.column_slice(DimId(j + 2)),
-                dataset.column_slice(DimId(j + 3)),
-            ];
-            let (b0, rest) = scratch.buf.split_at_mut(m);
-            let (b1, rest) = rest.split_at_mut(m);
-            let (b2, b3) = rest.split_at_mut(m);
-            let mut stats = [RunningStats::new(); LANES];
-            for (i, &o) in members.iter().enumerate() {
-                let oi = o.index();
-                let v0 = cols[0][oi];
-                let v1 = cols[1][oi];
-                let v2 = cols[2][oi];
-                let v3 = cols[3][oi];
-                b0[i] = v0;
-                b1[i] = v1;
-                b2[i] = v2;
-                b3[i] = v3;
-                stats[0].push(v0);
-                stats[1].push(v1);
-                stats[2].push(v2);
-                stats[3].push(v3);
-            }
-            for (lane, buf) in [b0, b1, b2, b3].into_iter().enumerate() {
-                summaries.push(summary(stats[lane], buf));
-            }
-            j += LANES;
-        }
-        // Remainder dimensions, one at a time (same formulas).
-        while j < d {
-            let col = dataset.column_slice(DimId(j));
-            let buf = &mut scratch.buf[..m];
-            let mut stats = RunningStats::new();
-            for (slot, &o) in buf.iter_mut().zip(members.iter()) {
-                let v = col[o.index()];
-                *slot = v;
-                stats.push(v);
-            }
-            summaries.push(summary(stats, buf));
-            j += 1;
-        }
+        let mut summaries = vec![empty; dataset.n_dims()];
+        parallel::for_each_chunk_mut_with(
+            &mut summaries,
+            || vec![0.0f64; LANES * m],
+            |offset, out, buf| fit_range(dataset, members, offset, out, buf),
+        );
         Ok(ClusterModel { size: m, summaries })
     }
 
@@ -247,6 +179,71 @@ impl ClusterModel {
                 }
             })
             .sum()
+    }
+}
+
+/// Fills `out[i]` with the summary of dimension `offset + i` over
+/// `members`, `LANES` dimensions per pass and the remainder one at a
+/// time (same formulas). `buf` holds at least `LANES · |members|` values.
+fn fit_range(
+    dataset: &Dataset,
+    members: &[ObjectId],
+    offset: usize,
+    out: &mut [Summary],
+    buf: &mut [f64],
+) {
+    let m = members.len();
+    let summary = |stats: RunningStats, buf: &mut [f64]| Summary {
+        mean: stats.mean(),
+        variance: stats.sample_variance(),
+        median: median_in_place(buf),
+        count: m,
+    };
+    let mut groups = out.chunks_exact_mut(LANES);
+    let mut j = offset;
+    for group in &mut groups {
+        let cols = [
+            dataset.column_slice(DimId(j)),
+            dataset.column_slice(DimId(j + 1)),
+            dataset.column_slice(DimId(j + 2)),
+            dataset.column_slice(DimId(j + 3)),
+        ];
+        let (b0, rest) = buf.split_at_mut(m);
+        let (b1, rest) = rest.split_at_mut(m);
+        let (b2, rest) = rest.split_at_mut(m);
+        let b3 = &mut rest[..m];
+        let mut stats = [RunningStats::new(); LANES];
+        for (i, &o) in members.iter().enumerate() {
+            let oi = o.index();
+            let v0 = cols[0][oi];
+            let v1 = cols[1][oi];
+            let v2 = cols[2][oi];
+            let v3 = cols[3][oi];
+            b0[i] = v0;
+            b1[i] = v1;
+            b2[i] = v2;
+            b3[i] = v3;
+            stats[0].push(v0);
+            stats[1].push(v1);
+            stats[2].push(v2);
+            stats[3].push(v3);
+        }
+        for ((slot, lane_stats), lane_buf) in group.iter_mut().zip(stats).zip([b0, b1, b2, b3]) {
+            *slot = summary(lane_stats, lane_buf);
+        }
+        j += LANES;
+    }
+    for slot in groups.into_remainder() {
+        let col = dataset.column_slice(DimId(j));
+        let lane_buf = &mut buf[..m];
+        let mut stats = RunningStats::new();
+        for (b, &o) in lane_buf.iter_mut().zip(members.iter()) {
+            let v = col[o.index()];
+            *b = v;
+            stats.push(v);
+        }
+        *slot = summary(stats, lane_buf);
+        j += 1;
     }
 }
 
@@ -557,8 +554,7 @@ mod tests {
             members(&[3, 4, 5]),
             members(&[1, 3, 5, 0]),
         ] {
-            let fast =
-                ClusterModel::fit_with_scratch(&ds, &members, &mut FitScratch::new()).unwrap();
+            let fast = ClusterModel::fit(&ds, &members).unwrap();
             let naive = ClusterModel::fit_naive(&ds, &members).unwrap();
             assert_eq!(fast.size(), naive.size());
             for j in ds.dim_ids() {

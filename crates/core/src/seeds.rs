@@ -329,7 +329,8 @@ impl<'a> Initializer<'a> {
     /// cluster peak (excess ≈ cluster size) and Poisson noise
     /// (excess ≈ √expected), which matters when thousands of irrelevant
     /// dimensions each carry a little noise excess. Floored so every
-    /// dimension keeps a tiny chance.
+    /// dimension keeps a tiny chance; constant (zero-range) dimensions get
+    /// only the floor.
     ///
     /// Computes each 1-D anchor-bin density directly from the dataset's
     /// contiguous column — equivalent to (and replacing) building a
@@ -356,7 +357,14 @@ impl<'a> Initializer<'a> {
                 .zip(self.available.iter())
                 .filter(|&(&b, &avail)| avail && b == anchor_bin)
                 .count() as f64;
-            let excess = (density - expected).max(0.0);
+            // A zero-range dimension puts every object into bin 0, so its
+            // density is the whole available pool — yet it separates
+            // nothing. It keeps only the floor.
+            let excess = if self.dataset.global_range(j) == 0.0 {
+                0.0
+            } else {
+                (density - expected).max(0.0)
+            };
             dims.push(j);
             weights.push((excess * excess).max(1e-9));
         }

@@ -206,3 +206,52 @@ fn outlier_contaminated_data_is_handled() {
         q.true_outliers
     );
 }
+
+/// Constant columns carry no cluster structure, so appending them must not
+/// change what SSPC finds. A zero-range dimension puts every object into
+/// one bin; without special handling its anchor-bin density is the whole
+/// available pool, the largest grid weight of all, and public seed groups
+/// would be built mostly on dimensions that separate nothing.
+#[test]
+fn constant_columns_do_not_take_over_public_seed_groups() {
+    const EXTRA: usize = 20;
+    let sspc = Sspc::new(SspcParams::new(3)).unwrap();
+    let best_ari = |data: &GeneratedData, dataset: &sspc_common::Dataset| {
+        let best = (0..3u64)
+            .map(|seed| sspc.run(dataset, &Supervision::none(), seed).unwrap())
+            .max_by(|a, b| a.objective().total_cmp(&b.objective()))
+            .unwrap();
+        adjusted_rand_index(
+            data.truth.assignment(),
+            best.assignment(),
+            OutlierPolicy::Exclude,
+        )
+        .unwrap()
+    };
+    for seed in 1..=5u64 {
+        let data = generate(
+            &GeneratorConfig {
+                n: 300,
+                d: 50,
+                k: 3,
+                avg_cluster_dims: 6,
+                ..Default::default()
+            },
+            seed,
+        )
+        .unwrap();
+        let (n, d) = (data.dataset.n_objects(), data.dataset.n_dims());
+        let mut values = Vec::with_capacity(n * (d + EXTRA));
+        for o in data.dataset.object_ids() {
+            values.extend_from_slice(data.dataset.row(o));
+            values.extend(std::iter::repeat_n(5.0, EXTRA));
+        }
+        let padded = sspc_common::Dataset::from_rows(n, d + EXTRA, values).unwrap();
+        let plain = best_ari(&data, &data.dataset);
+        let with_constants = best_ari(&data, &padded);
+        assert!(
+            with_constants >= plain - 0.01,
+            "seed {seed}: ARI {with_constants} with {EXTRA} constant columns, {plain} without"
+        );
+    }
+}

@@ -11,11 +11,13 @@ use proptest::prelude::*;
 use rand::Rng;
 use sspc::objective::{
     assignment_argmax, assignment_gain_row, assignment_gains_transposed, AssignCandidate,
-    ClusterModel, FitScratch,
+    ClusterModel,
 };
 use sspc::{Sspc, SspcParams, SspcResult, Supervision, ThresholdScheme, Thresholds};
 use sspc_common::rng::seeded_rng;
 use sspc_common::{ClusterId, Dataset, DimId, ObjectId};
+use sspc_datagen::supervision::{draw, InputKind};
+use sspc_datagen::{generate, GeneratorConfig};
 
 /// Serializes SSPC_NUM_THREADS mutation across tests in this binary.
 static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -69,7 +71,7 @@ proptest! {
             .collect();
         prop_assume!(!members.is_empty());
 
-        let fast = ClusterModel::fit_with_scratch(&ds, &members, &mut FitScratch::new()).unwrap();
+        let fast = ClusterModel::fit(&ds, &members).unwrap();
         let naive = ClusterModel::fit_naive(&ds, &members).unwrap();
         for j in ds.dim_ids() {
             let (f, g) = (fast.summary(j), naive.summary(j));
@@ -421,4 +423,69 @@ fn chunked_assignment_matches_serial_on_larger_input() {
     let serial = with_thread_count(1, || sspc.run(&ds, &Supervision::none(), 11).unwrap());
     let parallel = with_thread_count(6, || sspc.run(&ds, &Supervision::none(), 11).unwrap());
     assert_results_identical(&serial, &parallel, "900-object run");
+}
+
+/// `ClusterModel::fit` splits the dimensions into one range per worker;
+/// the split must not be observable. None of d = 513, 1001, 3000 is a
+/// multiple of the 4-lane pass width, so worker boundaries fall inside a
+/// lane group and every worker range has a remainder. Mean, variance and
+/// median must match `fit_naive` bit-for-bit at 1, 2 and 8 threads.
+#[test]
+fn split_fit_equals_naive_bitwise() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let n = 48;
+    let members: Vec<ObjectId> = (1..=40).map(ObjectId).collect();
+    for d in [513usize, 1001, 3000] {
+        let mut rng = seeded_rng(d as u64);
+        let values: Vec<f64> = (0..n * d).map(|_| rng.gen_range(-1e3..1e3)).collect();
+        let ds = Dataset::from_rows(n, d, values).unwrap();
+        let naive = ClusterModel::fit_naive(&ds, &members).unwrap();
+        for threads in [1usize, 2, 8] {
+            let fast = with_thread_count(threads, || ClusterModel::fit(&ds, &members).unwrap());
+            assert_eq!(fast.n_dims(), d);
+            for j in ds.dim_ids() {
+                let (f, g) = (fast.summary(j), naive.summary(j));
+                let what = format!("d = {d}, {threads} threads, dimension {j}");
+                assert_eq!(f.mean.to_bits(), g.mean.to_bits(), "mean: {what}");
+                assert_eq!(
+                    f.variance.to_bits(),
+                    g.variance.to_bits(),
+                    "variance: {what}"
+                );
+                assert_eq!(f.median.to_bits(), g.median.to_bits(), "median: {what}");
+            }
+        }
+    }
+}
+
+/// Whole runs at the Fig. 5/6 gene-expression shape (150 × 3000, k = 5,
+/// 30 relevant dimensions per class), with 4 labeled objects and 4
+/// labeled dimensions per class: every refit, each private group's
+/// temporary cluster and each `finish_group` fit splits across workers at
+/// d = 3000. The fast path must equal `run_naive` at 1, 2 and 8 threads
+/// under both threshold schemes.
+#[test]
+fn fig5_shape_run_equals_naive_bitwise() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let config = GeneratorConfig {
+        n: 150,
+        d: 3000,
+        k: 5,
+        avg_cluster_dims: 30,
+        ..Default::default()
+    };
+    let data = generate(&config, 5).unwrap();
+    let labels = draw(&data.truth, InputKind::Both, 1.0, 4, 6).unwrap();
+    let sup = Supervision::new(labels.labeled_objects, labels.labeled_dims);
+    for scheme in [
+        ThresholdScheme::MFraction(0.5),
+        ThresholdScheme::PValue(0.05),
+    ] {
+        let sspc = Sspc::new(SspcParams::new(5).with_threshold(scheme)).unwrap();
+        let naive = sspc.run_naive(&data.dataset, &sup, 3).unwrap();
+        for threads in [1usize, 2, 8] {
+            let fast = with_thread_count(threads, || sspc.run(&data.dataset, &sup, 3).unwrap());
+            assert_results_identical(&naive, &fast, &format!("{scheme:?} at {threads} threads"));
+        }
+    }
 }
