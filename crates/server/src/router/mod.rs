@@ -42,17 +42,22 @@
 //! record of that id).
 //!
 //! **Limits.** `GET /jobs` merges *live* shards only — terminal results
-//! held for a dead shard are reachable by id, not by listing. And a
+//! held for a dead shard are reachable by id, not by listing. A
 //! duplicate admission is possible when a shard dies between processing
 //! a `POST` and answering it: the orphaned copy completes harmlessly
-//! (results are deterministic) but occupies a second id.
+//! (results are deterministic) but occupies a second id. And a pending
+//! job that no survivor accepts within the failover's three passes gets
+//! no owed entry: it answers `503 shard_unavailable` until its shard
+//! rejoins, and the rejoin's stale-spool handoff then rescues it.
 
+mod handoff;
 pub mod ring;
 pub mod spool;
 
 use crate::backoff::Backoff;
 use crate::http::{read_request, write_response, write_response_with, HttpConnection};
 use crate::service::{DEFAULT_LIST_LIMIT, MAX_LIST_LIMIT, STATUS_NAMES};
+use handoff::{ensure_failed_over, handoff_join, handoff_leave, rejoin};
 use ring::Ring;
 use sspc_common::json::Value;
 use sspc_common::{Error, Result};
@@ -492,88 +497,6 @@ fn note_shard_failure(state: &RouterState, shard: &Shard) {
     }
 }
 
-/// Replays a dead shard's spool exactly once, blocking concurrent
-/// callers until the table is complete: terminal jobs become
-/// [`Owed::Terminal`], acked-but-unfinished jobs are re-submitted to
-/// surviving shards and become [`Owed::Remapped`].
-fn ensure_failed_over(state: &RouterState, shard: &Shard) {
-    let _serialize = state.replay_lock.lock().expect("replay lock poisoned");
-    if shard.failed_over.load(Ordering::SeqCst) {
-        return;
-    }
-    let Some(dir) = &state.spool_dir else {
-        shard.failed_over.store(true, Ordering::SeqCst);
-        return;
-    };
-    let debt = spool::replay(&spool::spool_path(dir, shard.id));
-    for (id, doc) in debt.terminal {
-        state
-            .owed
-            .lock()
-            .expect("owed poisoned")
-            .insert(id, Owed::Terminal(doc));
-    }
-    for (old_id, raw) in debt.pending {
-        if let Some((survivor, new_id)) = resubmit(state, old_id, &raw) {
-            state.metrics.replayed.fetch_add(1, Ordering::Relaxed);
-            state.owed.lock().expect("owed poisoned").insert(
-                old_id,
-                Owed::Remapped {
-                    shard: survivor,
-                    new_id,
-                },
-            );
-        }
-    }
-    shard.failed_over.store(true, Ordering::SeqCst);
-}
-
-/// Re-submits one spooled job to the ring's surviving candidates for
-/// its old id, with a few bounded passes for transient `503`s. Returns
-/// the survivor and the new id, or `None` when nobody would take it.
-fn resubmit(state: &RouterState, old_id: u64, raw: &Value) -> Option<(u16, u64)> {
-    let ring = state.ring.lock().expect("ring poisoned").clone();
-    resubmit_on(state, &ring, old_id, raw, None)
-}
-
-/// [`resubmit`] against an explicit ring (a graceful leave resubmits on
-/// the *post-leave* ring before the cutover publishes it), optionally
-/// excluding one shard (the leaver).
-fn resubmit_on(
-    state: &RouterState,
-    ring: &Ring,
-    old_id: u64,
-    raw: &Value,
-    exclude: Option<u16>,
-) -> Option<(u16, u64)> {
-    for attempt in 0..3 {
-        if attempt > 0 {
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        for shard_id in ring.candidates(old_id) {
-            if exclude == Some(shard_id) {
-                continue;
-            }
-            let Some(shard) = state.shard(shard_id) else {
-                continue;
-            };
-            if !shard.alive.load(Ordering::SeqCst) {
-                continue;
-            }
-            let Ok((status, body)) = crate::http::request(&shard.addr, "POST", "/jobs", Some(raw))
-            else {
-                continue;
-            };
-            if status == 202 {
-                if let Some(new_id) = body.get("job").and_then(Value::as_u64) {
-                    return Some((shard_id, new_id));
-                }
-            }
-        }
-    }
-    None
-}
-
 /// `POST /jobs`: walk the ring's candidate order for the next
 /// submission key; the first live shard that answers — with *any* HTTP
 /// status — wins, and its answer (including `503` + `Retry-After`)
@@ -641,7 +564,7 @@ fn job_status(
     let Ok(id) = id_text.parse::<u64>() else {
         return (404, error_body(format!("bad job id `{id_text}`")), None);
     };
-    if let Some(answer) = serve_owed(state, conns, id) {
+    if let Some(answer) = serve_owed(state, conns, &state.owed, id) {
         return answer;
     }
     let shard_id = shard_of(id);
@@ -663,13 +586,13 @@ fn job_status(
         // Dead: make sure its spool has been folded, then try the owed
         // table once more.
         ensure_failed_over(state, &shard);
-        if let Some(answer) = serve_owed(state, conns, id) {
+        if let Some(answer) = serve_owed(state, conns, &state.owed, id) {
             return answer;
         }
         // Last resort: a handoff may have already streamed this job to
         // its new owner without reaching cutover (the donor died
         // mid-handoff). The staged copy is real and deterministic.
-        if let Some(answer) = serve_staged(state, conns, id) {
+        if let Some(answer) = serve_owed(state, conns, &state.handoff, id) {
             return answer;
         }
     }
@@ -684,43 +607,18 @@ fn job_status(
     )
 }
 
-/// Serves job `id` from the handoff staging table — only consulted when
-/// the owning shard is dead and the owed table has nothing (a donor
-/// SIGKILLed mid-handoff before cutover).
-fn serve_staged(
-    state: &RouterState,
-    conns: &mut ShardConns,
-    id: u64,
-) -> Option<(u16, Value, Option<u64>)> {
-    let (survivor, new_id) = {
-        let staged = state.handoff.lock().expect("handoff poisoned");
-        match staged.get(&id)? {
-            Owed::Terminal(doc) => return Some((200, doc.clone(), None)),
-            Owed::Remapped { shard, new_id } => (*shard, *new_id),
-        }
-    };
-    let shard = state.shard(survivor)?;
-    if !shard.alive.load(Ordering::SeqCst) {
-        return None;
-    }
-    match proxy(conns, &shard, "GET", &format!("/jobs/{new_id}"), None) {
-        Ok((status, doc, ra)) => Some((status, rewrite_job_id(doc, id), ra)),
-        Err(_) => {
-            note_shard_failure(state, &shard);
-            None
-        }
-    }
-}
-
-/// Serves job `id` from the failover table, if the router owes it.
+/// Serves job `id` from `table` — the owed table, or the handoff staging
+/// table when the owning shard is dead and the owed table has nothing —
+/// if it holds an entry for `id`.
 fn serve_owed(
     state: &RouterState,
     conns: &mut ShardConns,
+    table: &Mutex<HashMap<u64, Owed>>,
     id: u64,
 ) -> Option<(u16, Value, Option<u64>)> {
     let (survivor, new_id) = {
-        let owed = state.owed.lock().expect("owed poisoned");
-        match owed.get(&id)? {
+        let table = table.lock().expect("owed table poisoned");
+        match table.get(&id)? {
             Owed::Terminal(doc) => return Some((200, doc.clone(), None)),
             Owed::Remapped { shard, new_id } => (*shard, *new_id),
         }
@@ -730,7 +628,7 @@ fn serve_owed(
         // The survivor died too; its own failover remaps `new_id` in
         // turn. One level of indirection per death, resolved lazily.
         ensure_failed_over(state, &shard);
-        let chained = serve_owed(state, conns, new_id);
+        let chained = serve_owed(state, conns, &state.owed, new_id);
         if let Some((status, doc, ra)) = chained {
             return Some((status, rewrite_job_id(doc, id), ra));
         }
@@ -1022,278 +920,6 @@ fn merge_latency_section(docs: &[&Value], section: &str) -> Value {
         .with("p99_ms", max_f64(docs, &["latency", section, "p99_ms"]))
 }
 
-/// One handoff stream step: the `handoff.stream` fault point (an armed
-/// `err` aborts the membership change; `crash` kills the router there,
-/// which the crash-torture sweep exploits) plus the optional pacing
-/// throttle that bounds a handoff's pressure on in-flight traffic.
-fn stream_gate(state: &RouterState) -> sspc_common::Result<()> {
-    sspc_common::fault::point("handoff.stream")?;
-    if !state.handoff_throttle.is_zero() {
-        std::thread::sleep(state.handoff_throttle);
-    }
-    Ok(())
-}
-
-/// POSTs one spool record to `addr` with a few bounded passes for
-/// transient `503`s, returning the new id it was acked under.
-fn handoff_post(addr: &str, raw: &Value) -> Option<u64> {
-    for attempt in 0..3 {
-        if attempt > 0 {
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        let Ok((status, body)) = crate::http::request(addr, "POST", "/jobs", Some(raw)) else {
-            continue;
-        };
-        if status == 202 {
-            if let Some(new_id) = body.get("job").and_then(Value::as_u64) {
-                return Some(new_id);
-            }
-        }
-    }
-    None
-}
-
-/// Stages one handed-off record under the per-key handoff lock. Returns
-/// whether the key was newly staged.
-fn stage(state: &RouterState, old_id: u64, entry: Owed) -> bool {
-    let mut staged = state.handoff.lock().expect("handoff poisoned");
-    if staged.contains_key(&old_id) {
-        return false;
-    }
-    staged.insert(old_id, entry);
-    true
-}
-
-/// Does the (alive) shard still answer for `id`? A restarted shard with
-/// a state dir recovered its journal and does; one without lost the job
-/// — that orphan is what the rejoin handoff rescues.
-fn shard_knows(shard: &Shard, id: u64) -> bool {
-    matches!(
-        crate::http::request(&shard.addr, "GET", &format!("/jobs/{id}"), None),
-        Ok((200, _))
-    )
-}
-
-/// The cutover: flips routing atomically under the `rebalancing` flag
-/// (submissions during the flip answer `503 rebalancing`), merging the
-/// staged handoff table into `owed`. Failover entries win ties — both
-/// copies compute identical results, and the failover one is already
-/// being served.
-fn cutover(state: &RouterState, flip: impl FnOnce(&mut Ring)) -> sspc_common::Result<()> {
-    sspc_common::fault::point("handoff.cutover")?;
-    state.rebalancing.store(true, Ordering::SeqCst);
-    flip(&mut state.ring.lock().expect("ring poisoned"));
-    let staged: Vec<(u64, Owed)> = state
-        .handoff
-        .lock()
-        .expect("handoff poisoned")
-        .drain()
-        .collect();
-    {
-        let mut owed = state.owed.lock().expect("owed poisoned");
-        for (id, entry) in staged {
-            owed.entry(id).or_insert(entry);
-        }
-    }
-    state.rebalancing.store(false, Ordering::SeqCst);
-    state.metrics.handoffs.fetch_add(1, Ordering::Relaxed);
-    Ok(())
-}
-
-/// Streams a recovered/new shard's **own stale spool** through the
-/// handoff path: spool records the shard no longer answers for (killed
-/// before finishing, restarted without its state) are re-submitted to
-/// the shard and staged, so no previously-acked job is silently lost on
-/// rejoin. Returns `(planned, moved)` record counts.
-fn handoff_stale_spool(state: &RouterState, joiner: &Shard) -> sspc_common::Result<(u64, u64)> {
-    let Some(dir) = &state.spool_dir else {
-        return Ok((0, 0));
-    };
-    let stale = spool::replay(&spool::spool_path(dir, joiner.id));
-    let mut planned = 0u64;
-    let mut moved = 0u64;
-    for (old_id, doc) in stale.terminal {
-        if state.owes(old_id) || shard_knows(joiner, old_id) {
-            continue;
-        }
-        planned += 1;
-        stream_gate(state)?;
-        if stage(state, old_id, Owed::Terminal(doc)) {
-            moved += 1;
-        }
-    }
-    for (old_id, raw) in stale.pending {
-        if state.owes(old_id) || shard_knows(joiner, old_id) {
-            continue;
-        }
-        planned += 1;
-        stream_gate(state)?;
-        let Some(new_id) = handoff_post(&joiner.addr, &raw) else {
-            return Err(Error::InvalidParameter(format!(
-                "shard {} refused handoff of its stale job {old_id}",
-                joiner.id
-            )));
-        };
-        if stage(
-            state,
-            old_id,
-            Owed::Remapped {
-                shard: joiner.id,
-                new_id,
-            },
-        ) {
-            moved += 1;
-        }
-    }
-    Ok((planned, moved))
-}
-
-/// The join handoff: replay the joiner's stale spool, then stream every
-/// donor spool record whose ring owner the join moves onto the newcomer
-/// (the rebalance plan — exactly the keys whose owner changed), then cut
-/// over. Reads are served by the old owners throughout; only the cutover
-/// publishes the staged remaps and the new ring.
-fn handoff_join(state: &RouterState, joiner: &Shard) -> sspc_common::Result<(u64, u64)> {
-    let (mut planned, mut moved) = handoff_stale_spool(state, joiner)?;
-    if let Some(dir) = &state.spool_dir {
-        let before = state.ring.lock().expect("ring poisoned").clone();
-        let mut after = before.clone();
-        after.add(joiner.id);
-        for donor in state.roster() {
-            if donor.id == joiner.id
-                || !donor.alive.load(Ordering::SeqCst)
-                || donor.membership() != Membership::Active
-            {
-                continue;
-            }
-            let debt = spool::replay(&spool::spool_path(dir, donor.id));
-            let pending_ids: Vec<u64> = debt.pending.iter().map(|(id, _)| *id).collect();
-            let plan = ring::rebalance_plan(&before, &after, &pending_ids);
-            let moving: std::collections::BTreeSet<u64> = plan
-                .iter()
-                .filter(|m| m.to == joiner.id)
-                .map(|m| m.key)
-                .collect();
-            for (old_id, raw) in debt.pending {
-                if !moving.contains(&old_id) || state.owes(old_id) {
-                    continue;
-                }
-                planned += 1;
-                stream_gate(state)?;
-                let Some(new_id) = handoff_post(&joiner.addr, &raw) else {
-                    return Err(Error::InvalidParameter(format!(
-                        "shard {} refused handoff of job {old_id} from shard {}",
-                        joiner.id, donor.id
-                    )));
-                };
-                if stage(
-                    state,
-                    old_id,
-                    Owed::Remapped {
-                        shard: joiner.id,
-                        new_id,
-                    },
-                ) {
-                    moved += 1;
-                }
-            }
-        }
-    }
-    cutover(state, |ring| ring.add(joiner.id))?;
-    state.metrics.handed_off.fetch_add(moved, Ordering::Relaxed);
-    joiner.set_membership(Membership::Active);
-    Ok((planned, moved))
-}
-
-/// The graceful-leave handoff — the join in reverse: every record in the
-/// leaver's spool moves off it (terminal docs into the owed table,
-/// pending jobs re-submitted onto the post-leave ring), then the cutover
-/// removes the leaver. Reads are served by the leaver until cutover.
-fn handoff_leave(state: &RouterState, leaver: &Shard) -> sspc_common::Result<(u64, u64)> {
-    let dir = state.spool_dir.as_ref().ok_or_else(|| {
-        Error::InvalidParameter(
-            "graceful leave requires a spool (--spool-dir); without one the shard's \
-             acked jobs cannot be handed off"
-                .into(),
-        )
-    })?;
-    let before = state.ring.lock().expect("ring poisoned").clone();
-    let mut after = before.clone();
-    after.remove(leaver.id);
-    let debt = spool::replay(&spool::spool_path(dir, leaver.id));
-    let mut planned = 0u64;
-    let mut moved = 0u64;
-    for (old_id, doc) in debt.terminal {
-        if state.owes(old_id) {
-            continue;
-        }
-        planned += 1;
-        stream_gate(state)?;
-        if stage(state, old_id, Owed::Terminal(doc)) {
-            moved += 1;
-        }
-    }
-    for (old_id, raw) in debt.pending {
-        if state.owes(old_id) {
-            continue;
-        }
-        planned += 1;
-        stream_gate(state)?;
-        let Some((survivor, new_id)) = resubmit_on(state, &after, old_id, &raw, Some(leaver.id))
-        else {
-            return Err(Error::InvalidParameter(format!(
-                "no surviving shard would take job {old_id} from leaving shard {}",
-                leaver.id
-            )));
-        };
-        if stage(
-            state,
-            old_id,
-            Owed::Remapped {
-                shard: survivor,
-                new_id,
-            },
-        ) {
-            moved += 1;
-        }
-    }
-    cutover(state, |ring| ring.remove(leaver.id))?;
-    // Second sweep: a submission proxied to the leaver just before it
-    // was marked `leaving` may have acked after the first spool read.
-    // After cutover no new work can reach the leaver, so replaying the
-    // spool once more catches every straggler.
-    let debt = spool::replay(&spool::spool_path(dir, leaver.id));
-    for (old_id, doc) in debt.terminal {
-        if !state.owes(old_id) {
-            planned += 1;
-            moved += 1;
-            let mut owed = state.owed.lock().expect("owed poisoned");
-            owed.entry(old_id).or_insert(Owed::Terminal(doc));
-        }
-    }
-    for (old_id, raw) in debt.pending {
-        if state.owes(old_id) {
-            continue;
-        }
-        planned += 1;
-        let Some((survivor, new_id)) = resubmit_on(state, &after, old_id, &raw, Some(leaver.id))
-        else {
-            return Err(Error::InvalidParameter(format!(
-                "no surviving shard would take straggler job {old_id} from leaving shard {}",
-                leaver.id
-            )));
-        };
-        moved += 1;
-        let mut owed = state.owed.lock().expect("owed poisoned");
-        owed.entry(old_id).or_insert(Owed::Remapped {
-            shard: survivor,
-            new_id,
-        });
-    }
-    state.metrics.handed_off.fetch_add(moved, Ordering::Relaxed);
-    Ok((planned, moved))
-}
-
 /// `POST /admin/shards` — runtime join. Body: `{"shard": <id>, "addr":
 /// "<host:port>"}`. The shard is health-checked, added to the roster as
 /// `joining`, handed the keys the rebalance plan moves onto it, and cut
@@ -1465,10 +1091,14 @@ fn admin_leave(
             )
         }
         Err(e) => {
-            // Roll back to active: the ring never changed, so the shard
-            // simply resumes taking new work.
+            // Before the cutover the ring never changed, so the shard
+            // simply resumes taking new work. After it the shard is off
+            // the ring: it stays `leaving` — serving reads, taking no
+            // submissions — until a retried leave places its stragglers.
             state.handoff.lock().expect("handoff poisoned").clear();
-            shard.set_membership(Membership::Active);
+            if state.ring.lock().expect("ring poisoned").contains(id) {
+                shard.set_membership(Membership::Active);
+            }
             (
                 502,
                 error_body(format!("graceful leave of shard {id} aborted: {e}")),
@@ -1584,38 +1214,6 @@ fn handle_connection(mut stream: TcpStream, state: &RouterState) {
     }
 }
 
-/// Rejoins a revived shard through the handoff path: its stale spool is
-/// replayed (records it no longer answers for get staged and published
-/// into the owed table), *then* the cutover puts it back on the ring.
-/// The failover latch resets so a second death replays again. A shard
-/// that has left the roster (`Gone`) never rejoins: the prober may still
-/// hold it in a roster snapshot taken before the leave.
-fn rejoin(state: &RouterState, shard: &Shard) {
-    let _op = state
-        .membership_lock
-        .lock()
-        .expect("membership lock poisoned");
-    if shard.alive.load(Ordering::SeqCst) || shard.membership() == Membership::Gone {
-        return;
-    }
-    let rejoined = handoff_stale_spool(state, shard)
-        .and_then(|(_, moved)| cutover(state, |ring| ring.add(shard.id)).map(|()| moved));
-    match rejoined {
-        Ok(moved) => {
-            state.metrics.handed_off.fetch_add(moved, Ordering::Relaxed);
-            shard.failures.store(0, Ordering::SeqCst);
-            shard.failed_over.store(false, Ordering::SeqCst);
-            shard.set_membership(Membership::Active);
-            shard.alive.store(true, Ordering::SeqCst);
-        }
-        Err(_) => {
-            // Leave the shard down; the next successful probe retries
-            // the rejoin from scratch.
-            state.handoff.lock().expect("handoff poisoned").clear();
-        }
-    }
-}
-
 /// Health-probes every shard over keep-alive connections. Live shards
 /// are probed each `interval`; failing shards back off with jitter
 /// (capped at 8× the interval) and rejoin the ring — through the stale
@@ -1640,14 +1238,8 @@ fn prober_loop(state: &Arc<RouterState>, interval: Duration) {
             }
             match proxy(&mut conns, &shard, "GET", "/healthz", None) {
                 Ok(_) => {
-                    backoffs.insert(
-                        shard.id,
-                        Backoff::new(
-                            interval,
-                            interval.saturating_mul(8),
-                            0x7072_6f62_u64 ^ u64::from(shard.id),
-                        ),
-                    );
+                    // Reset: the next tick's `or_insert_with` rebuilds it.
+                    backoffs.remove(&shard.id);
                     if !shard.alive.load(Ordering::SeqCst) {
                         rejoin(state, &shard);
                     }
@@ -1937,6 +1529,12 @@ mod tests {
             Some("active")
         );
         assert!(joined.get("handoff_seconds").is_some());
+        assert!(joined.get("moved").is_some(), "join: {joined:?}");
+        assert_eq!(
+            joined.get("moved"),
+            joined.get("planned"),
+            "join: {joined:?}"
+        );
 
         // A duplicate join of the same shard id is refused.
         let (status, _) =
@@ -1965,6 +1563,8 @@ mod tests {
             crate::http::request(&addr, "DELETE", "/admin/shards/1", None).unwrap();
         assert_eq!(status, 200, "leave: {left:?}");
         assert_eq!(left.get("membership").and_then(Value::as_str), Some("gone"));
+        assert!(left.get("moved").is_some(), "leave: {left:?}");
+        assert_eq!(left.get("moved"), left.get("planned"), "leave: {left:?}");
 
         // Every acked id — including those acked by the departed shard —
         // still completes under its original id.
@@ -2038,6 +1638,86 @@ mod tests {
         assert_eq!(status, 400, "last shard: {refused:?}");
         router.shutdown();
         healthy.shutdown();
+        let _ = std::fs::remove_dir_all(&spool);
+    }
+
+    /// A rejoined shard that dies again must not re-post the jobs its
+    /// first death already handed to a survivor: each would run twice.
+    #[test]
+    fn second_death_of_a_rejoined_shard_replays_nothing_already_owed() {
+        let spool = temp_dir("redeath");
+        let stuck = Server::start(&shard_config(0, 0, Some(spool.clone()))).unwrap();
+        let healthy = Server::start(&shard_config(1, 2, Some(spool.clone()))).unwrap();
+        let router = router_over(&[(&stuck, 0), (&healthy, 1)], Some(spool.clone()));
+        let addr = router.addr().to_string();
+        let snapshot = router.state.shard(0).expect("shard 0 in the roster");
+        let mut client = Client::new(&addr);
+        let ids: Vec<u64> = (0..8)
+            .map(|s| client.submit(&job_body(s)).unwrap())
+            .collect();
+        let on_stuck = ids.iter().filter(|&&id| shard_of(id) == 0).count() as u64;
+        assert!(on_stuck > 0, "some of 8 submissions must land on shard 0");
+
+        stuck.shutdown();
+        for &id in &ids {
+            let doc = client
+                .wait_for(id, Duration::from_millis(5), Duration::from_secs(60))
+                .unwrap();
+            assert_eq!(doc.get("status").and_then(Value::as_str), Some("done"));
+        }
+        let metrics = &router.state.metrics;
+        assert_eq!(metrics.replayed.load(Ordering::Relaxed), on_stuck);
+
+        // Back on the ring, the dead shard fails its next probe.
+        rejoin(&router.state, &snapshot);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while metrics.failovers.load(Ordering::Relaxed) < 2
+            || !snapshot.failed_over.load(Ordering::SeqCst)
+        {
+            assert!(Instant::now() < deadline, "shard 0 never failed over again");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(
+            metrics.replayed.load(Ordering::Relaxed),
+            on_stuck,
+            "the second death re-posted jobs the router already owes"
+        );
+        router.shutdown();
+        healthy.shutdown();
+        let _ = std::fs::remove_dir_all(&spool);
+    }
+
+    /// A graceful leave that fails once the leaver is off the ring must
+    /// not report it `active`: it takes no submissions there.
+    #[test]
+    fn leave_refused_off_the_ring_keeps_the_shard_leaving() {
+        let spool = temp_dir("leaveoff");
+        let stuck = Server::start(&shard_config(0, 0, Some(spool.clone()))).unwrap();
+        let survivor = Server::start(&shard_config(1, 1, Some(spool.clone()))).unwrap();
+        let router = router_over(&[(&stuck, 0), (&survivor, 1)], Some(spool.clone()));
+        let addr = router.addr().to_string();
+        let mut client = Client::new(&addr);
+        let ids: Vec<u64> = (0..8)
+            .map(|s| client.submit(&job_body(s)).unwrap())
+            .collect();
+        assert!(ids.iter().any(|&id| shard_of(id) == 0));
+
+        // The ring a cutover leaves behind, and a survivor that refuses
+        // every straggler.
+        router.state.ring.lock().unwrap().remove(0);
+        survivor.begin_drain();
+        let (status, refused) =
+            crate::http::request(&addr, "DELETE", "/admin/shards/0", None).unwrap();
+        assert_eq!(status, 502, "leave: {refused:?}");
+        let health = client.healthz().unwrap();
+        assert_eq!(
+            lookup(&health, &["shards", "0", "membership"]).and_then(Value::as_str),
+            Some("leaving"),
+            "{health}"
+        );
+        router.shutdown();
+        stuck.shutdown();
+        survivor.shutdown();
         let _ = std::fs::remove_dir_all(&spool);
     }
 

@@ -28,13 +28,14 @@
 //! shard killed mid-write) are skipped — a torn `submit` line means the
 //! ack never left, so nothing is owed.
 //!
-//! The same replay powers **membership handoffs** (`router::admin_join`
-//! / `admin_leave`): a join streams each donor's pending records whose
-//! ring owner moved to the newcomer, a graceful leave streams the
-//! departing shard's whole spool onto the survivors, and a recovered
-//! shard rejoins by replaying its own stale spool through the handoff
-//! staging table. Spool records are the unit of streaming in every
-//! case — handoff needs no second journal format.
+//! Every consumer of a replay goes through one transfer path,
+//! `router::handoff::transfer`: failover, and the **membership
+//! handoffs** (`router::admin_join` / `admin_leave`). A join streams each
+//! donor's pending records whose ring owner moved to the newcomer, a
+//! graceful leave streams the departing shard's whole spool onto the
+//! survivors, and a recovered shard rejoins by replaying its own stale
+//! spool through the handoff staging table. Spool records are the unit of
+//! streaming in every case — handoff needs no second journal format.
 
 use crate::job::JobSpec;
 use crate::store::{JobRecord, JobStatus};
