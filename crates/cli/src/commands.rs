@@ -629,7 +629,6 @@ fn cmd_route(flags: &Flags) -> Result<()> {
         probe_interval,
         fail_after,
         max_connections,
-        ..RouterConfig::default()
     };
     // Same drain discipline as `serve`: latch the signal before binding.
     crate::signal::install();

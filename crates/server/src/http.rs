@@ -145,6 +145,17 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>> {
     }))
 }
 
+/// Parses a request body as one UTF-8 JSON document.
+///
+/// # Errors
+///
+/// [`Error::InvalidParameter`] when the body is not UTF-8 or not JSON.
+pub fn json_body(body: &[u8]) -> Result<Value> {
+    std::str::from_utf8(body)
+        .map_err(|_| Error::InvalidParameter("body is not UTF-8".into()))
+        .and_then(Value::parse)
+}
+
 /// Splits a request target into path and parsed query pairs.
 fn parse_target(target: &str) -> (String, Vec<(String, String)>) {
     match target.split_once('?') {

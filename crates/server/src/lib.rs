@@ -47,8 +47,8 @@
 //!
 //! # Overload & lifecycle
 //!
-//! Ingress is bounded end to end: the acceptor sheds connections over
-//! [`ServerConfig::max_connections`] with an inline `503` +
+//! Ingress is bounded end to end: the HTTP front end sheds connections
+//! over [`ServerConfig::max_connections`] with an inline `503` +
 //! `Retry-After` (never a silent drop), the queue bounds accepted-but-
 //! unstarted jobs, and [`ServerConfig::max_backlog_seconds`] adds
 //! **cost-aware** admission — submissions are refused while the
@@ -71,6 +71,11 @@
 //! shard's shipped journal ([`router::spool`]) is replayed onto
 //! survivors so every `202`-acked job still completes — see
 //! `docs/ARCHITECTURE.md` § "Sharding".
+//!
+//! The shard and the router serve through one HTTP front end (the
+//! private `frontend` module): one accept loop with the connection cap,
+//! one keep-alive request loop, one set of connection counters. Each
+//! plugs in only its route function and its default `Retry-After` hint.
 //!
 //! # Example
 //!
@@ -122,6 +127,7 @@
 
 pub mod backoff;
 pub mod client;
+mod frontend;
 pub mod http;
 pub mod job;
 pub mod loadgen;

@@ -1,6 +1,8 @@
 //! Service health counters: queue pressure, job outcomes, per-algorithm
-//! throughput, connection/ingress gauges, latency histograms, and the
-//! cost-based backlog estimator — rendered as the `/healthz` document.
+//! throughput, latency histograms, and the cost-based backlog estimator —
+//! rendered as the `/healthz` document. (The connection and request
+//! counters belong to the HTTP front end, which adds them to the same
+//! document.)
 
 use crate::job::AlgorithmCost;
 use sspc_common::hist::Histogram;
@@ -39,8 +41,6 @@ pub struct Gauges {
     /// Lame-duck state: the server is finishing work but refusing new
     /// submissions.
     pub draining: bool,
-    /// Configured connection cap (the ingress semaphore).
-    pub connections_limit: usize,
     /// Configured admission budget in estimated backlog seconds, if any.
     pub max_backlog_seconds: Option<f64>,
     /// This server's shard id (0 for a plain single-node deployment);
@@ -51,7 +51,7 @@ pub struct Gauges {
     pub spool_ship_failures: Option<u64>,
 }
 
-/// Monotonic counters updated by the acceptor and workers; all reads
+/// Monotonic counters updated by the handlers and workers; all reads
 /// happen in [`Metrics::healthz_value`]. Counters are process-lifetime —
 /// a restart starts them at zero even when the job store is disk-backed.
 #[derive(Debug)]
@@ -67,11 +67,6 @@ pub struct Metrics {
     failed: AtomicU64,
     panicked: AtomicU64,
     deadline_exceeded: AtomicU64,
-    connections: AtomicU64,
-    connections_active: AtomicU64,
-    connections_rejected: AtomicU64,
-    spawn_failures: AtomicU64,
-    requests_in_flight: AtomicU64,
     /// Estimated cost units (`n·d·k·runs·algorithms`) of jobs currently
     /// queued or running — the numerator of the admission estimate.
     backlog_cost: AtomicU64,
@@ -98,11 +93,6 @@ impl Default for Metrics {
             failed: AtomicU64::new(0),
             panicked: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            connections_active: AtomicU64::new(0),
-            connections_rejected: AtomicU64::new(0),
-            spawn_failures: AtomicU64::new(0),
-            requests_in_flight: AtomicU64::new(0),
             backlog_cost: AtomicU64::new(0),
             observed_cost: AtomicU64::new(0),
             observed_busy_us: AtomicU64::new(0),
@@ -122,51 +112,6 @@ impl Metrics {
     /// A job was re-enqueued from the journal at startup.
     pub fn record_recovered(&self) {
         self.recovered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The acceptor took a new TCP connection (each may carry many
-    /// keep-alive requests — the keep-alive tests assert on this).
-    pub fn record_connection(&self) {
-        self.connections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A handler thread took ownership of an accepted connection — pairs
-    /// with [`connection_closed`](Metrics::connection_closed) to maintain
-    /// the `connections_active` gauge the acceptor's cap checks.
-    pub fn connection_opened(&self) {
-        self.connections_active.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// A handler released its connection (clean close or any error path).
-    pub fn connection_closed(&self) {
-        self.connections_active.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Handler connections currently open.
-    pub fn connections_active(&self) -> u64 {
-        self.connections_active.load(Ordering::SeqCst)
-    }
-
-    /// A connection was refused at the cap (answered `503
-    /// connections_exhausted` inline on the acceptor).
-    pub fn record_connection_rejected(&self) {
-        self.connections_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Spawning a handler thread failed (resource exhaustion); the
-    /// connection was answered `503` inline instead of dropped.
-    pub fn record_spawn_failure(&self) {
-        self.spawn_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request entered routing on some handler.
-    pub fn request_started(&self) {
-        self.requests_in_flight.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// The response for a routed request was written (or failed to be).
-    pub fn request_finished(&self) {
-        self.requests_in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// A job was refused because the queue was at capacity.
@@ -362,24 +307,6 @@ impl Metrics {
             // so it can never silently disagree with what jobs actually do.
             .with("job_threads", sspc_common::parallel::num_threads() as u64)
             .with(
-                "connections_accepted",
-                self.connections.load(Ordering::Relaxed),
-            )
-            .with("connections_active", self.connections_active())
-            .with("connections_limit", gauges.connections_limit)
-            .with(
-                "connections_rejected",
-                self.connections_rejected.load(Ordering::Relaxed),
-            )
-            .with(
-                "handler_spawn_failures",
-                self.spawn_failures.load(Ordering::Relaxed),
-            )
-            .with(
-                "requests_in_flight",
-                self.requests_in_flight.load(Ordering::SeqCst),
-            )
-            .with(
                 "queue",
                 Value::object()
                     .with("depth", gauges.queue_depth)
@@ -438,7 +365,6 @@ mod tests {
             workers,
             workers_alive: workers,
             draining: false,
-            connections_limit: 256,
             max_backlog_seconds: None,
             shard: 0,
             spool_ship_failures: None,
@@ -451,15 +377,6 @@ mod tests {
         m.record_submitted();
         m.record_submitted();
         m.record_recovered();
-        m.record_connection();
-        m.record_connection();
-        m.record_connection();
-        m.connection_opened();
-        m.connection_opened();
-        m.connection_closed();
-        m.record_connection_rejected();
-        m.record_spawn_failure();
-        m.request_started();
         m.record_rejected_full();
         m.record_rejected_invalid();
         m.record_rejected_backlog();
@@ -512,24 +429,6 @@ mod tests {
             h.get("store_degraded").and_then(Value::as_bool),
             Some(false)
         );
-        assert_eq!(
-            h.get("connections_accepted").and_then(Value::as_u64),
-            Some(3)
-        );
-        assert_eq!(h.get("connections_active").and_then(Value::as_u64), Some(1));
-        assert_eq!(
-            h.get("connections_limit").and_then(Value::as_u64),
-            Some(256)
-        );
-        assert_eq!(
-            h.get("connections_rejected").and_then(Value::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            h.get("handler_spawn_failures").and_then(Value::as_u64),
-            Some(1)
-        );
-        assert_eq!(h.get("requests_in_flight").and_then(Value::as_u64), Some(1));
         let queue = h.get("queue").unwrap();
         assert_eq!(queue.get("depth").and_then(Value::as_u64), Some(3));
         assert_eq!(queue.get("capacity").and_then(Value::as_u64), Some(64));
@@ -648,16 +547,5 @@ mod tests {
         // Releases saturate instead of wrapping.
         m.release_cost(u64::MAX);
         assert_eq!(m.estimated_backlog_seconds(), 0.0);
-    }
-
-    #[test]
-    fn connection_gauge_tracks_open_close() {
-        let m = Metrics::default();
-        assert_eq!(m.connections_active(), 0);
-        m.connection_opened();
-        m.connection_opened();
-        assert_eq!(m.connections_active(), 2);
-        m.connection_closed();
-        assert_eq!(m.connections_active(), 1);
     }
 }

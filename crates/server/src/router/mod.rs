@@ -39,7 +39,12 @@
 //! `Retry-After` hint. The router adds exactly two reasons of its own:
 //! `no_shards_available` (no live shard could take the request) and
 //! `shard_unavailable` (the owning shard is dead and the spool owes no
-//! record of that id).
+//! record of that id). Clients reach the router through the same HTTP
+//! front end as a shard (`crate::frontend`), which sheds connections over
+//! [`RouterConfig::max_connections`] with `503 connections_exhausted`;
+//! the router plugs in its route function, a per-connection cache of
+//! keep-alive shard connections, and a one-second `Retry-After`, and
+//! counts those sheds in its `/healthz` `router.shed`.
 //!
 //! **Limits.** `GET /jobs` merges *live* shards only — terminal results
 //! held for a dead shard are reachable by id, not by listing. A
@@ -55,15 +60,15 @@ pub mod ring;
 pub mod spool;
 
 use crate::backoff::Backoff;
-use crate::http::{read_request, write_response, write_response_with, HttpConnection};
-use crate::service::{DEFAULT_LIST_LIMIT, MAX_LIST_LIMIT, STATUS_NAMES};
+use crate::frontend::{self, error_body, Frontend, Ingress, Reply, Service};
+use crate::http::{json_body, HttpConnection, Request};
+use crate::service::list_query;
 use handoff::{ensure_failed_over, handoff_join, handoff_leave, rejoin};
 use ring::Ring;
 use sspc_common::json::Value;
 use sspc_common::{Error, Result};
 use std::collections::HashMap;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -101,13 +106,9 @@ pub struct RouterConfig {
     /// and failed over.
     pub fail_after: u32,
     /// Maximum concurrently open client connections; everything over the
-    /// cap is shed with `503` + `Retry-After`, like a shard does.
+    /// cap is shed with `503` + `Retry-After` by the same front end a
+    /// shard uses.
     pub max_connections: usize,
-    /// Pause between handoff records streamed during a membership change
-    /// (join/leave), bounding the handoff's impact on in-flight traffic.
-    /// Zero (the default) streams flat out. Overridable via the
-    /// `SSPC_HANDOFF_THROTTLE_MS` environment variable.
-    pub handoff_throttle: Duration,
 }
 
 impl Default for RouterConfig {
@@ -119,7 +120,6 @@ impl Default for RouterConfig {
             probe_interval: Duration::from_secs(1),
             fail_after: 3,
             max_connections: 256,
-            handoff_throttle: Duration::ZERO,
         }
     }
 }
@@ -219,7 +219,6 @@ struct RouterMetrics {
     shed: AtomicU64,
     failovers: AtomicU64,
     replayed: AtomicU64,
-    connections: AtomicU64,
     /// Completed membership handoffs (joins + graceful leaves).
     handoffs: AtomicU64,
     /// Spool records streamed to a new owner by membership handoffs.
@@ -250,11 +249,14 @@ struct RouterState {
     /// True only inside the cutover critical section; submissions during
     /// the flip answer `503` `reason: "rebalancing"`.
     rebalancing: AtomicBool,
+    /// Pause between handoff records streamed during a membership change
+    /// (join/leave), bounding the handoff's impact on in-flight traffic;
+    /// read from `SSPC_HANDOFF_THROTTLE_MS`, zero (flat out) when unset.
     handoff_throttle: Duration,
     route_counter: AtomicU64,
     metrics: RouterMetrics,
     fail_after: u32,
-    max_connections: usize,
+    /// Stops the prober.
     shutting_down: AtomicBool,
     draining: AtomicBool,
     started: Instant,
@@ -293,14 +295,13 @@ impl RouterState {
 /// not stop it — call [`Router::shutdown`] (tests) or
 /// [`Router::begin_drain`] + [`Router::drain`] (operator shutdown).
 pub struct Router {
-    addr: SocketAddr,
     state: Arc<RouterState>,
-    acceptor: JoinHandle<()>,
+    frontend: Frontend,
     prober: JoinHandle<()>,
 }
 
 impl Router {
-    /// Binds and starts the router: acceptor plus the shard prober.
+    /// Binds and starts the router: front end plus the shard prober.
     ///
     /// # Errors
     ///
@@ -320,11 +321,7 @@ impl Router {
                 "duplicate shard ids in router config".into(),
             ));
         }
-        let listener = TcpListener::bind(&config.addr)
-            .map_err(|e| Error::InvalidParameter(format!("cannot bind {}: {e}", config.addr)))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| Error::InvalidParameter(format!("local_addr: {e}")))?;
+        let (listener, addr) = frontend::bind(&config.addr)?;
         let shards = config
             .shards
             .iter()
@@ -333,7 +330,7 @@ impl Router {
         let handoff_throttle = std::env::var("SSPC_HANDOFF_THROTTLE_MS")
             .ok()
             .and_then(|ms| ms.parse::<u64>().ok())
-            .map_or(config.handoff_throttle, Duration::from_millis);
+            .map_or(Duration::ZERO, Duration::from_millis);
         let state = Arc::new(RouterState {
             shards: RwLock::new(shards),
             ring: Mutex::new(Ring::new(ids, Ring::DEFAULT_VNODES)),
@@ -347,16 +344,11 @@ impl Router {
             route_counter: AtomicU64::new(0),
             metrics: RouterMetrics::default(),
             fail_after: config.fail_after.max(1),
-            max_connections: config.max_connections.max(1),
             shutting_down: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             started: Instant::now(),
         });
-        let acceptor_state = Arc::clone(&state);
-        let acceptor = std::thread::Builder::new()
-            .name("sspc-router-acceptor".into())
-            .spawn(move || acceptor_loop(&listener, &acceptor_state))
-            .expect("spawn router acceptor");
+        let frontend = Frontend::serve(listener, addr, config.max_connections, Arc::clone(&state));
         let prober_state = Arc::clone(&state);
         let probe_interval = config.probe_interval;
         let prober = std::thread::Builder::new()
@@ -364,22 +356,21 @@ impl Router {
             .spawn(move || prober_loop(&prober_state, probe_interval))
             .expect("spawn router prober");
         Ok(Router {
-            addr,
             state,
-            acceptor,
+            frontend,
             prober,
         })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.frontend.addr()
     }
 
-    /// Blocks until the acceptor exits — i.e. until [`Router::shutdown`]
+    /// Blocks until the front end exits — i.e. until [`Router::shutdown`]
     /// from another thread or process death.
     pub fn wait(self) {
-        let _ = self.acceptor.join();
+        self.frontend.wait();
         let _ = self.prober.join();
     }
 
@@ -398,36 +389,21 @@ impl Router {
     #[must_use = "a false return means clients were still connected at the deadline"]
     pub fn drain(self, timeout: Duration) -> bool {
         self.begin_drain();
-        let deadline = Instant::now() + timeout;
-        let drained = loop {
-            if self.state.metrics.connections.load(Ordering::SeqCst) == 0 {
-                break true;
-            }
-            if Instant::now() >= deadline {
-                break false;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        };
+        let drained = frontend::wait_until(timeout, || self.frontend.connections_active() == 0);
         self.shutdown();
         drained
     }
 
-    /// Stops accepting and joins the acceptor and prober threads.
+    /// Stops accepting and joins the front end and prober threads.
     pub fn shutdown(self) {
         self.state.shutting_down.store(true, Ordering::SeqCst);
-        // Wake the acceptor out of `accept()` with a loopback connection.
-        let _ = TcpStream::connect(self.addr);
-        let _ = self.acceptor.join();
+        self.frontend.stop();
         let _ = self.prober.join();
     }
 }
 
-fn error_body(msg: impl Into<String>) -> Value {
-    Value::object().with("error", msg.into())
-}
-
 /// A router-level shed: `503 no_shards_available` + a short retry hint.
-fn no_shards(state: &RouterState, context: &str) -> (u16, Value, Option<u64>) {
+fn no_shards(state: &RouterState, context: &str) -> Reply {
     state.metrics.shed.fetch_add(1, Ordering::Relaxed);
     (
         503,
@@ -452,7 +428,7 @@ fn proxy(
     method: &str,
     path: &str,
     body: Option<&Value>,
-) -> Result<(u16, Value, Option<u64>)> {
+) -> Result<Reply> {
     let mut reused = true;
     if let std::collections::hash_map::Entry::Vacant(slot) = conns.entry(shard.id) {
         reused = false;
@@ -501,7 +477,7 @@ fn note_shard_failure(state: &RouterState, shard: &Shard) {
 /// submission key; the first live shard that answers — with *any* HTTP
 /// status — wins, and its answer (including `503` + `Retry-After`)
 /// passes through unchanged.
-fn submit(state: &RouterState, conns: &mut ShardConns, body: &[u8]) -> (u16, Value, Option<u64>) {
+fn submit(state: &RouterState, conns: &mut ShardConns, body: &[u8]) -> Reply {
     if state.draining.load(Ordering::SeqCst) {
         return (
             503,
@@ -522,10 +498,7 @@ fn submit(state: &RouterState, conns: &mut ShardConns, body: &[u8]) -> (u16, Val
             Some(1),
         );
     }
-    let parsed = std::str::from_utf8(body)
-        .map_err(|_| Error::InvalidParameter("body is not UTF-8".into()))
-        .and_then(Value::parse);
-    let raw = match parsed {
+    let raw = match json_body(body) {
         Ok(raw) => raw,
         Err(e) => return (400, error_body(e.to_string()), None),
     };
@@ -555,11 +528,7 @@ fn submit(state: &RouterState, conns: &mut ShardConns, body: &[u8]) -> (u16, Val
 /// shard is dead, serve from the failover table (terminal results
 /// directly, remapped jobs proxied with the `job` field rewritten back
 /// to the id the client was acked with).
-fn job_status(
-    state: &RouterState,
-    conns: &mut ShardConns,
-    path: &str,
-) -> (u16, Value, Option<u64>) {
+fn job_status(state: &RouterState, conns: &mut ShardConns, path: &str) -> Reply {
     let id_text = &path["/jobs/".len()..];
     let Ok(id) = id_text.parse::<u64>() else {
         return (404, error_body(format!("bad job id `{id_text}`")), None);
@@ -615,7 +584,7 @@ fn serve_owed(
     conns: &mut ShardConns,
     table: &Mutex<HashMap<u64, Owed>>,
     id: u64,
-) -> Option<(u16, Value, Option<u64>)> {
+) -> Option<Reply> {
     let (survivor, new_id) = {
         let table = table.lock().expect("owed table poisoned");
         match table.get(&id)? {
@@ -651,46 +620,14 @@ fn rewrite_job_id(doc: Value, id: u64) -> Value {
     }
 }
 
-/// `GET /jobs`: validate the query exactly like a shard would, scatter
+/// `GET /jobs`: validate the query with the shard's own grammar, scatter
 /// it to every live shard, and merge newest-first under the same
 /// `limit` cap.
-fn list(
-    state: &RouterState,
-    conns: &mut ShardConns,
-    query: &[(String, String)],
-) -> (u16, Value, Option<u64>) {
-    let mut status: Option<&str> = None;
-    let mut limit = DEFAULT_LIST_LIMIT;
-    for (key, value) in query {
-        match key.as_str() {
-            "status" => {
-                if !STATUS_NAMES.contains(&value.as_str()) {
-                    return (
-                        400,
-                        error_body(format!(
-                            "unknown status `{value}` (one of: {})",
-                            STATUS_NAMES.join(", ")
-                        )),
-                        None,
-                    );
-                }
-                status = Some(value.as_str());
-            }
-            "limit" => match value.parse::<usize>() {
-                Ok(n) => limit = n.min(MAX_LIST_LIMIT),
-                Err(_) => return (400, error_body(format!("bad limit `{value}`")), None),
-            },
-            other => {
-                return (
-                    400,
-                    error_body(format!(
-                        "unknown query parameter `{other}` (accepted: status, limit)"
-                    )),
-                    None,
-                );
-            }
-        }
-    }
+fn list(state: &RouterState, conns: &mut ShardConns, query: &[(String, String)]) -> Reply {
+    let (status, limit) = match list_query(query) {
+        Ok(parsed) => parsed,
+        Err(body) => return (400, body, None),
+    };
     let mut forward = format!("/jobs?limit={limit}");
     if let Some(status) = status {
         forward.push_str(&format!("&status={status}"));
@@ -768,7 +705,7 @@ fn max_f64(docs: &[&Value], path: &[&str]) -> f64 {
 /// appear as `{"status": "down", ...}`. Counters sum; latency
 /// percentiles report the worst shard; `status` degrades if any shard
 /// is not `ok`.
-fn healthz(state: &RouterState, conns: &mut ShardConns) -> (u16, Value, Option<u64>) {
+fn healthz(state: &RouterState, conns: &mut ShardConns, ingress: &Ingress) -> Reply {
     let mut shard_docs: Vec<(u16, &'static str, Option<Value>)> = Vec::new();
     for shard in state.roster() {
         let doc = if shard.alive.load(Ordering::SeqCst) {
@@ -853,7 +790,10 @@ fn healthz(state: &RouterState, conns: &mut ShardConns) -> (u16, Value, Option<u
         .with("shards", state.roster().len() as u64)
         .with("shards_alive", state.shards_alive() as u64)
         .with("routed", state.metrics.routed.load(Ordering::Relaxed))
-        .with("shed", state.metrics.shed.load(Ordering::Relaxed))
+        .with(
+            "shed",
+            state.metrics.shed.load(Ordering::Relaxed) + ingress.shed(),
+        )
         .with("failovers", state.metrics.failovers.load(Ordering::Relaxed))
         .with(
             "replayed_jobs",
@@ -925,11 +865,8 @@ fn merge_latency_section(docs: &[&Value], section: &str) -> Value {
 /// `joining`, handed the keys the rebalance plan moves onto it, and cut
 /// over to `active`. On any handoff failure the join rolls back
 /// completely (roster and staging), leaving routing untouched.
-fn admin_join(state: &RouterState, body: &[u8]) -> (u16, Value, Option<u64>) {
-    let parsed = std::str::from_utf8(body)
-        .map_err(|_| Error::InvalidParameter("body is not UTF-8".into()))
-        .and_then(Value::parse);
-    let raw = match parsed {
+fn admin_join(state: &RouterState, body: &[u8]) -> Reply {
+    let raw = match json_body(body) {
         Ok(raw) => raw,
         Err(e) => return (400, error_body(e.to_string()), None),
     };
@@ -1004,11 +941,7 @@ fn admin_join(state: &RouterState, body: &[u8]) -> (u16, Value, Option<u64>) {
 /// (`leaving` → keys handed off → `gone`); `?mode=dead` skips the
 /// handoff and runs the failover replay instead (for a shard that is
 /// already unreachable).
-fn admin_leave(
-    state: &RouterState,
-    path: &str,
-    query: &[(String, String)],
-) -> (u16, Value, Option<u64>) {
+fn admin_leave(state: &RouterState, path: &str, query: &[(String, String)]) -> Reply {
     let id_text = &path["/admin/shards/".len()..];
     let Ok(id) = id_text.parse::<u16>() else {
         return (404, error_body(format!("bad shard id `{id_text}`")), None);
@@ -1108,109 +1041,34 @@ fn admin_leave(
     }
 }
 
-fn route_request(
-    state: &RouterState,
-    conns: &mut ShardConns,
-    request: &crate::http::Request,
-) -> (u16, Value, Option<u64>) {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/jobs") => submit(state, conns, &request.body),
-        ("GET", "/jobs") => list(state, conns, &request.query),
-        ("GET", path) if path.starts_with("/jobs/") => job_status(state, conns, path),
-        ("GET", "/healthz") => healthz(state, conns),
-        ("POST", "/admin/shards") => admin_join(state, &request.body),
-        ("DELETE", path) if path.starts_with("/admin/shards/") => {
-            admin_leave(state, path, &request.query)
-        }
-        (_, "/jobs" | "/healthz" | "/admin/shards") => {
-            (405, error_body("method not allowed"), None)
-        }
-        (_, path) if path.starts_with("/jobs/") || path.starts_with("/admin/shards/") => {
-            (405, error_body("method not allowed"), None)
-        }
-        _ => (404, error_body("no such endpoint"), None),
-    }
-}
+impl Service for RouterState {
+    /// Keep-alive connections to each shard, warm across one client's
+    /// requests.
+    type Conn = ShardConns;
 
-/// Decrements the connection gauge on every handler exit path.
-struct ConnGuard(Arc<RouterState>);
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        self.0.metrics.connections.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-fn acceptor_loop(listener: &TcpListener, state: &Arc<RouterState>) {
-    for stream in listener.incoming() {
-        if state.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(mut stream) = stream else { continue };
-        if state.metrics.connections.load(Ordering::SeqCst) >= state.max_connections as u64 {
-            state.metrics.shed.fetch_add(1, Ordering::Relaxed);
-            let _ = stream.set_write_timeout(Some(crate::http::IO_TIMEOUT));
-            let body = error_body(format!(
-                "router connection limit reached ({} active), retry later",
-                state.max_connections
-            ))
-            .with("reason", "connections_exhausted");
-            let _ = write_response_with(&mut stream, 503, &body, true, Some(1));
-            continue;
-        }
-        state.metrics.connections.fetch_add(1, Ordering::SeqCst);
-        let guard = ConnGuard(Arc::clone(state));
-        let handler_state = Arc::clone(state);
-        let spawned = std::thread::Builder::new()
-            .name("sspc-router-handler".into())
-            .spawn(move || {
-                let _guard = guard;
-                handle_connection(stream, &handler_state);
-            });
-        if spawned.is_err() {
-            // The guard moved into the dropped closure, so the gauge is
-            // already back down; nothing to answer the peer with — the
-            // stream is gone too.
-            state.metrics.shed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Serves one client connection; the per-thread `conns` map keeps
-/// keep-alive connections to each shard warm across this client's
-/// requests.
-fn handle_connection(mut stream: TcpStream, state: &RouterState) {
-    if stream
-        .set_read_timeout(Some(crate::http::IO_TIMEOUT))
-        .is_err()
-        || stream
-            .set_write_timeout(Some(crate::http::IO_TIMEOUT))
-            .is_err()
-    {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut conns: ShardConns = HashMap::new();
-    loop {
-        match read_request(&mut reader) {
-            Ok(Some(request)) => {
-                let close = request.close || state.shutting_down.load(Ordering::SeqCst);
-                let (status, body, retry_after) = route_request(state, &mut conns, &request);
-                let retry_after = (status == 503).then(|| retry_after.unwrap_or(1));
-                let written = write_response_with(&mut stream, status, &body, close, retry_after);
-                if written.is_err() || close {
-                    break;
-                }
+    fn route(&self, conns: &mut ShardConns, request: &Request, ingress: &Ingress) -> Reply {
+        match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/jobs") => submit(self, conns, &request.body),
+            ("GET", "/jobs") => list(self, conns, &request.query),
+            ("GET", path) if path.starts_with("/jobs/") => job_status(self, conns, path),
+            ("GET", "/healthz") => healthz(self, conns, ingress),
+            ("POST", "/admin/shards") => admin_join(self, &request.body),
+            ("DELETE", path) if path.starts_with("/admin/shards/") => {
+                admin_leave(self, path, &request.query)
             }
-            Ok(None) => break,
-            Err(e) => {
-                let _ = write_response(&mut stream, 400, &error_body(e.to_string()), true);
-                break;
+            (_, "/jobs" | "/healthz" | "/admin/shards") => {
+                (405, error_body("method not allowed"), None)
             }
+            (_, path) if path.starts_with("/jobs/") || path.starts_with("/admin/shards/") => {
+                (405, error_body("method not allowed"), None)
+            }
+            _ => (404, error_body("no such endpoint"), None),
         }
+    }
+
+    /// Router-level 503s ask for a one-second pause.
+    fn retry_after(&self) -> u64 {
+        1
     }
 }
 
@@ -1264,6 +1122,7 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use crate::service::{Server, ServerConfig};
+    use std::net::TcpListener;
 
     fn shard_config(shard_id: u16, workers: usize, spool_dir: Option<PathBuf>) -> ServerConfig {
         ServerConfig {

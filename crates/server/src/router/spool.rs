@@ -43,7 +43,7 @@ use sspc_common::json::Value;
 use sspc_common::{Error, Result};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -64,20 +64,33 @@ pub struct SpoolWriter {
 
 impl SpoolWriter {
     /// Creates `dir` if needed and opens (appending) this shard's spool.
+    /// A torn final line left by a killed process is ended first, so the
+    /// next event starts a line of its own.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidParameter`] when the directory or file cannot be
-    /// created.
+    /// created or the torn line cannot be ended.
     pub fn open(dir: &Path, shard: u16) -> Result<SpoolWriter> {
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::InvalidParameter(format!("spool dir {}: {e}", dir.display())))?;
         let path = spool_path(dir, shard);
-        let file = OpenOptions::new()
+        let fail =
+            |e: std::io::Error| Error::InvalidParameter(format!("spool {}: {e}", path.display()));
+        let mut file = OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(&path)
-            .map_err(|e| Error::InvalidParameter(format!("spool {}: {e}", path.display())))?;
+            .map_err(fail)?;
+        let mut last = [b'\n'];
+        if file.metadata().map_err(fail)?.len() > 0 {
+            file.seek(SeekFrom::End(-1)).map_err(fail)?;
+            file.read_exact(&mut last).map_err(fail)?;
+        }
+        if last[0] != b'\n' {
+            file.write_all(b"\n").map_err(fail)?;
+        }
         Ok(SpoolWriter {
             file: Mutex::new(file),
             failures: AtomicU64::new(0),
@@ -133,6 +146,22 @@ pub fn failed_event(id: u64, error: &str) -> Value {
         .with("event", "failed")
         .with("job", id)
         .with("error", error)
+}
+
+/// The id after the largest job id `path` names (0 for a missing or
+/// empty spool). A restarted shard assigns ids from here at the lowest,
+/// so it never acks an id its previous life acked: the router may still
+/// owe that id, and would answer for the old job instead of the new one.
+pub fn next_id(path: &Path) -> u64 {
+    let Ok(file) = File::open(path) else {
+        return 0;
+    };
+    BufReader::new(file)
+        .lines()
+        .map_while(std::io::Result::ok)
+        .filter_map(|line| Value::parse(&line).ok()?.get("job")?.as_u64())
+        .max()
+        .map_or(0, |id| id + 1)
 }
 
 /// What a dead shard owes, folded from its spool file.
@@ -291,6 +320,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A shard killed mid-write leaves a torn final line; its restart's
+    /// first event must start a line of its own, not extend the torn one.
+    #[test]
+    fn reopened_spool_starts_after_a_torn_line() {
+        let dir = temp_dir("reopen");
+        let path = spool_path(&dir, 0);
+        std::fs::write(&path, "{\"event\":\"submit\",\"job\":8,\"sp").unwrap();
+        let writer = SpoolWriter::open(&dir, 0).unwrap();
+        writer.ship(&submit_event(9, &job_body(9)));
+        let folded = replay(&path);
+        assert_eq!(
+            folded.pending.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
+            vec![9]
+        );
+        assert_eq!(next_id(&path), 10);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn replay_skips_torn_and_malformed_lines() {
         let dir = temp_dir("torn");
@@ -307,6 +354,9 @@ mod tests {
             folded.pending.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
             vec![7]
         );
+        // The torn line's id cannot be read back; the intact one can.
+        assert_eq!(next_id(&path), 8);
+        assert_eq!(next_id(&dir.join("missing.jsonl")), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

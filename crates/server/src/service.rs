@@ -1,16 +1,13 @@
-//! The service itself: listener, bounded job queue, worker pool, routes.
+//! The shard service: bounded job queue, worker pool, routes.
 //!
 //! Threading model — all std, no async runtime:
 //!
-//! * one **acceptor** thread owns the `TcpListener` and spawns a handler
-//!   thread per connection, **bounded** by
-//!   [`ServerConfig::max_connections`]: a connection over the cap (or one
-//!   whose handler thread cannot be spawned) is answered `503` +
-//!   `Retry-After` inline on the acceptor thread and closed — shed, never
-//!   silently dropped. A handler serves **many requests** over its
-//!   keep-alive connection (requests are tiny; job work never runs on a
-//!   handler) and exits on `Connection: close`, peer EOF, or the idle
-//!   timeout;
+//! * connections go through the shared [`crate::frontend`]: one acceptor
+//!   thread, one handler thread per keep-alive connection, bounded by
+//!   [`ServerConfig::max_connections`] (over the cap, or with no handler
+//!   thread to spare, a connection is shed with an inline `503`). The
+//!   shard plugs in its route function and a `Retry-After` hint sized from the
+//!   mean job seconds; job work never runs on a handler;
 //! * `workers` long-lived **worker** threads block on the bounded
 //!   [`TaskQueue`] and execute jobs through `sspc_api::experiment`;
 //! * submissions never block: a full queue answers `503` immediately —
@@ -34,10 +31,11 @@
 //! `status: "draining"`, new submissions get `503 shutting_down`, already
 //! queued and running jobs keep going — and [`Server::drain`] waits up to
 //! a deadline for the queue to empty and the workers to finish before
-//! stopping the acceptor. The CLI wires SIGTERM/SIGINT to exactly this
+//! stopping the front end. The CLI wires SIGTERM/SIGINT to exactly this
 //! pair.
 
-use crate::http::{read_request, write_response, write_response_with, Request};
+use crate::frontend::{self, error_body, Frontend, Ingress, Reply, Service};
+use crate::http::{json_body, Request};
 use crate::job::{JobOutcome, JobSpec};
 use crate::metrics::{Gauges, Metrics};
 use crate::router::spool::SpoolWriter;
@@ -47,8 +45,7 @@ use sspc_common::json::Value;
 use sspc_common::parallel::{PushError, TaskQueue};
 use sspc_common::{cancel, Error, Result};
 use std::collections::HashMap;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -70,7 +67,7 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Maximum queued (not yet running) jobs before submissions get `503`.
     pub queue_capacity: usize,
-    /// Maximum concurrently open handler connections; the acceptor
+    /// Maximum concurrently open handler connections; the front end
     /// answers connections over the cap with `503` + `Retry-After`
     /// (`reason: connections_exhausted`) inline and closes them.
     pub max_connections: usize,
@@ -98,7 +95,8 @@ pub struct ServerConfig {
     /// When set, every admission and terminal state is appended to
     /// `<spool_dir>/shard-<shard_id>.jsonl` so the router can replay
     /// this shard's acked-but-unfinished jobs onto survivors if this
-    /// process dies. `None` (default) ships nothing.
+    /// process dies, and a restart assigns ids above every id that file
+    /// names. `None` (default) ships nothing.
     pub spool_dir: Option<PathBuf>,
 }
 
@@ -127,13 +125,12 @@ struct Admitted {
     cost: u64,
 }
 
-/// State shared by the acceptor, handlers, and workers.
+/// State shared by the handlers and workers.
 struct ServerState {
     queue: TaskQueue<u64>,
     store: Arc<dyn JobStore>,
     next_id: AtomicU64,
     metrics: Metrics,
-    shutting_down: AtomicBool,
     /// Lame-duck flag: accept reads, refuse new work, let the queue
     /// empty. Set by [`Server::begin_drain`], never cleared.
     draining: AtomicBool,
@@ -142,7 +139,6 @@ struct ServerState {
     /// this against `workers` to surface a crashed worker (it should
     /// never diverge now that job bodies run under an unwind barrier).
     workers_alive: AtomicUsize,
-    max_connections: usize,
     max_backlog_seconds: Option<f64>,
     /// Jobs admitted (or recovered) but not yet terminal, keyed by id.
     inflight: Mutex<HashMap<u64, Admitted>>,
@@ -159,7 +155,6 @@ impl ServerState {
             workers: self.workers,
             workers_alive: self.workers_alive.load(Ordering::Relaxed),
             draining: self.draining.load(Ordering::SeqCst),
-            connections_limit: self.max_connections,
             max_backlog_seconds: self.max_backlog_seconds,
             shard: self.shard_id,
             spool_ship_failures: self.spool.as_ref().map(SpoolWriter::failures),
@@ -221,14 +216,13 @@ impl ServerState {
 /// call [`Server::shutdown`] (tests), [`Server::begin_drain`] +
 /// [`Server::drain`] (operator shutdown), or [`Server::wait`] (the CLI).
 pub struct Server {
-    addr: SocketAddr,
     state: Arc<ServerState>,
-    acceptor: JoinHandle<()>,
+    frontend: Frontend,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds and starts the service (acceptor + worker pool), opening —
+    /// Binds and starts the service (front end + worker pool), opening —
     /// and, for a disk store, replaying — the job store first. Jobs that
     /// were `queued`/`running` when a previous process died are
     /// re-enqueued before the listener starts accepting.
@@ -244,9 +238,9 @@ impl Server {
         };
         // Job ids start just above this shard's id-space base, so every
         // id this process assigns routes back here by its prefix. A disk
-        // store's recovered counter wins when it is already past the
-        // base (same shard restarting); the clamp only matters when a
-        // state dir is first adopted by a non-zero shard id.
+        // store's recovered counter, or the id after the last one this
+        // shard's spool names, wins when it is already past the base
+        // (same shard restarting): the router may still owe those ids.
         let base = id_base(config.shard_id);
         let (store, recovered, next_id): (Arc<dyn JobStore>, Vec<u64>, u64) =
             match &config.state_dir {
@@ -260,26 +254,23 @@ impl Server {
                     )
                 }
             };
-        let spool = match &config.spool_dir {
-            None => None,
-            Some(dir) => Some(SpoolWriter::open(dir, config.shard_id)?),
+        let (spool, next_id) = match &config.spool_dir {
+            None => (None, next_id),
+            Some(dir) => (
+                Some(SpoolWriter::open(dir, config.shard_id)?),
+                next_id.max(spool::next_id(&spool::spool_path(dir, config.shard_id))),
+            ),
         };
 
-        let listener = TcpListener::bind(&config.addr)
-            .map_err(|e| Error::InvalidParameter(format!("cannot bind {}: {e}", config.addr)))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| Error::InvalidParameter(format!("local_addr: {e}")))?;
+        let (listener, addr) = frontend::bind(&config.addr)?;
         let state = Arc::new(ServerState {
             queue: TaskQueue::bounded(config.queue_capacity),
             store,
             next_id: AtomicU64::new(next_id),
             metrics: Metrics::default(),
-            shutting_down: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             workers: config.workers,
             workers_alive: AtomicUsize::new(0),
-            max_connections: config.max_connections.max(1),
             max_backlog_seconds: config.max_backlog_seconds,
             inflight: Mutex::new(HashMap::new()),
             shard_id: config.shard_id,
@@ -313,29 +304,23 @@ impl Server {
             })
             .collect();
 
-        let acceptor_state = Arc::clone(&state);
-        let acceptor = std::thread::Builder::new()
-            .name("sspc-acceptor".into())
-            .spawn(move || acceptor_loop(&listener, &acceptor_state))
-            .expect("spawn acceptor");
-
+        let frontend = Frontend::serve(listener, addr, config.max_connections, Arc::clone(&state));
         Ok(Server {
-            addr,
             state,
-            acceptor,
+            frontend,
             workers,
         })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.frontend.addr()
     }
 
-    /// Blocks until the acceptor exits — i.e. forever, short of a
+    /// Blocks until the front end exits — i.e. forever, short of a
     /// [`Server::shutdown`] from another thread or process death.
     pub fn wait(self) {
-        let _ = self.acceptor.join();
+        self.frontend.wait();
         for w in self.workers {
             let _ = w.join();
         }
@@ -353,7 +338,7 @@ impl Server {
 
     /// Waits up to `timeout` for the drain started by
     /// [`Server::begin_drain`] to complete — queue empty and every worker
-    /// out of its loop — then stops the acceptor and returns whether the
+    /// out of its loop — then stops the front end and returns whether the
     /// drain finished in time. On `false`, worker threads may still be
     /// mid-job; their handles are dropped (not joined), so the caller can
     /// exit without waiting on them. With a disk store the journal is
@@ -362,24 +347,14 @@ impl Server {
     #[must_use = "a false return means workers were still running at the deadline"]
     pub fn drain(self, timeout: Duration) -> bool {
         self.begin_drain();
-        let deadline = Instant::now() + timeout;
         // Workers only leave their loop once the closed queue is empty,
         // so `workers_alive == 0` alone means all admitted work finished
         // (or there never were workers — then nothing is mid-job either;
         // a disk store re-enqueues the stranded queue on the next boot).
-        let drained = loop {
-            if self.state.workers_alive.load(Ordering::Relaxed) == 0 {
-                break true;
-            }
-            if Instant::now() >= deadline {
-                break false;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        };
-        self.state.shutting_down.store(true, Ordering::SeqCst);
-        // Wake the acceptor out of `accept()` with a loopback connection.
-        let _ = TcpStream::connect(self.addr);
-        let _ = self.acceptor.join();
+        let drained = frontend::wait_until(timeout, || {
+            self.state.workers_alive.load(Ordering::Relaxed) == 0
+        });
+        self.frontend.stop();
         if drained {
             for w in self.workers {
                 let _ = w.join();
@@ -388,15 +363,12 @@ impl Server {
         drained
     }
 
-    /// Stops accepting, drains queued jobs, and joins the acceptor and
+    /// Stops accepting, drains queued jobs, and joins the front end and
     /// workers. The prompt path for tests; operators use
     /// [`Server::begin_drain`] + [`Server::drain`].
     pub fn shutdown(self) {
-        self.state.shutting_down.store(true, Ordering::SeqCst);
         self.state.queue.close();
-        // Wake the acceptor out of `accept()` with a loopback connection.
-        let _ = TcpStream::connect(self.addr);
-        let _ = self.acceptor.join();
+        self.frontend.stop();
         for w in self.workers {
             let _ = w.join();
         }
@@ -484,148 +456,32 @@ fn run_isolated(spec: &JobSpec) -> std::result::Result<Result<JobOutcome>, Strin
     })
 }
 
-/// Decrements the `connections_active` gauge when a handler releases its
-/// connection — on every exit path, including a panicking handler.
-struct ConnectionGuard(Arc<ServerState>);
+impl Service for ServerState {
+    type Conn = ();
 
-impl ConnectionGuard {
-    fn open(state: &Arc<ServerState>) -> ConnectionGuard {
-        state.metrics.connection_opened();
-        ConnectionGuard(Arc::clone(state))
-    }
-}
-
-impl Drop for ConnectionGuard {
-    fn drop(&mut self) {
-        self.0.metrics.connection_closed();
-    }
-}
-
-/// Answers a connection the service cannot take — over the connection
-/// cap, or no handler thread available — with `503` + `Retry-After`
-/// inline on the acceptor thread, then closes it. Shedding must be
-/// *visible* to the peer: a silently dropped connection looks like a
-/// network fault and teaches clients nothing about backing off.
-fn shed_connection(mut stream: TcpStream, state: &ServerState, message: &str) {
-    // A short write timeout so one unreadable peer cannot wedge the
-    // acceptor (this runs on the acceptor thread).
-    let _ = stream.set_write_timeout(Some(crate::http::IO_TIMEOUT));
-    let body = error_body(message).with("reason", "connections_exhausted");
-    let _ = write_response_with(
-        &mut stream,
-        503,
-        &body,
-        true,
-        Some(state.metrics.retry_after_seconds()),
-    );
-}
-
-fn acceptor_loop(listener: &TcpListener, state: &Arc<ServerState>) {
-    for stream in listener.incoming() {
-        if state.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        // The ingress bound: when `max_connections` handlers hold
-        // connections, shed instead of spawning an unbounded thread.
-        if state.metrics.connections_active() >= state.max_connections as u64 {
-            state.metrics.record_connection_rejected();
-            shed_connection(
-                stream,
-                state,
-                &format!(
-                    "connection limit reached ({} active), retry later",
-                    state.max_connections
-                ),
-            );
-            continue;
-        }
-        state.metrics.record_connection();
-        let guard = ConnectionGuard::open(state);
-        // A duplicate handle so a failed spawn can still answer the peer
-        // (`stream` itself moves into the handler closure).
-        let reply = stream.try_clone();
-        let handler_state = Arc::clone(state);
-        let spawned = std::thread::Builder::new()
-            .name("sspc-handler".into())
-            .spawn(move || {
-                let _guard = guard;
-                handle_connection(stream, &handler_state);
-            });
-        if spawned.is_err() {
-            // The closure (with `stream` and the gauge guard) was dropped
-            // by the failed spawn; the duplicate still reaches the peer.
-            state.metrics.record_spawn_failure();
-            if let Ok(reply) = reply {
-                shed_connection(reply, state, "no handler thread available, retry later");
-            }
-        }
-    }
-}
-
-/// Serves one connection until the peer asks to close, goes idle past
-/// the socket timeout, hangs up, or sends something malformed.
-fn handle_connection(mut stream: TcpStream, state: &ServerState) {
-    if stream
-        .set_read_timeout(Some(crate::http::IO_TIMEOUT))
-        .is_err()
-        || stream
-            .set_write_timeout(Some(crate::http::IO_TIMEOUT))
-            .is_err()
-    {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    loop {
-        match read_request(&mut reader) {
-            Ok(Some(request)) => {
-                // Close when the peer asked to, or when we are stopping.
-                let close = request.close || state.shutting_down.load(Ordering::SeqCst);
-                state.metrics.request_started();
-                let (status, body) = route(&request, state);
-                // Every 503 carries a Retry-After hint sized from the
-                // mean job seconds observed so far.
-                let retry_after = (status == 503).then(|| state.metrics.retry_after_seconds());
-                let written = write_response_with(&mut stream, status, &body, close, retry_after);
-                state.metrics.request_finished();
-                if written.is_err() || close {
-                    break;
-                }
-            }
-            Ok(None) => break, // clean close (EOF or idle timeout)
-            Err(e) => {
-                // Malformed request: answer 400 and drop the connection —
-                // the stream position is no longer trustworthy.
-                let _ = write_response(&mut stream, 400, &error_body(e.to_string()), true);
-                break;
-            }
-        }
-    }
-}
-
-fn error_body(msg: impl Into<String>) -> Value {
-    Value::object().with("error", msg.into())
-}
-
-fn route(request: &Request, state: &ServerState) -> (u16, Value) {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/jobs") => submit_job(&request.body, state),
-        ("GET", "/jobs") => list_jobs(request, state),
-        ("GET", path) if path.starts_with("/jobs/") => get_job(path, state),
-        ("GET", "/healthz") => (
-            200,
-            state.metrics.healthz_value(
-                &state.gauges(),
-                state.store.stats(),
-                state.store.degraded(),
+    fn route(&self, (): &mut (), request: &Request, ingress: &Ingress) -> Reply {
+        let (status, body) = match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/jobs") => submit_job(&request.body, self),
+            ("GET", "/jobs") => list_jobs(&request.query, self),
+            ("GET", path) if path.starts_with("/jobs/") => get_job(path, self),
+            ("GET", "/healthz") => (
+                200,
+                ingress.render(self.metrics.healthz_value(
+                    &self.gauges(),
+                    self.store.stats(),
+                    self.store.degraded(),
+                )),
             ),
-        ),
-        (_, "/jobs" | "/healthz") => (405, error_body("method not allowed")),
-        (_, path) if path.starts_with("/jobs/") => (405, error_body("method not allowed")),
-        _ => (404, error_body("no such endpoint")),
+            (_, "/jobs" | "/healthz") => (405, error_body("method not allowed")),
+            (_, path) if path.starts_with("/jobs/") => (405, error_body("method not allowed")),
+            _ => (404, error_body("no such endpoint")),
+        };
+        (status, body, None)
+    }
+
+    /// Sized from the mean job seconds observed so far.
+    fn retry_after(&self) -> u64 {
+        self.metrics.retry_after_seconds()
     }
 }
 
@@ -642,10 +498,7 @@ fn submit_job(body: &[u8], state: &ServerState) -> (u16, Value) {
         );
     }
 
-    let parsed = std::str::from_utf8(body)
-        .map_err(|_| Error::InvalidParameter("body is not UTF-8".into()))
-        .and_then(Value::parse)
-        .and_then(|raw| JobSpec::from_json(&raw).map(|spec| (spec, raw)));
+    let parsed = json_body(body).and_then(|raw| JobSpec::from_json(&raw).map(|spec| (spec, raw)));
     let (spec, raw) = match parsed {
         Ok(pair) => pair,
         Err(e) => {
@@ -786,44 +639,47 @@ fn get_job(path: &str, state: &ServerState) -> (u16, Value) {
     }
 }
 
-pub(crate) const STATUS_NAMES: [&str; 4] = ["queued", "running", "done", "failed"];
+const STATUS_NAMES: [&str; 4] = ["queued", "running", "done", "failed"];
 
-/// `GET /jobs[?status=NAME][&limit=N]` — summaries newest first, capped
-/// so listing a long-lived store stays bounded. `total` reports the
-/// matching count before the cap.
-fn list_jobs(request: &Request, state: &ServerState) -> (u16, Value) {
-    let mut status: Option<&str> = None;
+/// Parses a `GET /jobs[?status=NAME][&limit=N]` query into the status
+/// filter and the capped limit, or the `400` body naming what is wrong.
+/// The shard and the router both list through this one grammar.
+pub(crate) fn list_query(
+    query: &[(String, String)],
+) -> std::result::Result<(Option<&str>, usize), Value> {
+    let mut status = None;
     let mut limit = DEFAULT_LIST_LIMIT;
-    for (key, value) in &request.query {
+    for (key, value) in query {
         match key.as_str() {
+            "status" if STATUS_NAMES.contains(&value.as_str()) => status = Some(value.as_str()),
             "status" => {
-                if !STATUS_NAMES.contains(&value.as_str()) {
-                    return (
-                        400,
-                        error_body(format!(
-                            "unknown status `{value}` (one of: {})",
-                            STATUS_NAMES.join(", ")
-                        )),
-                    );
-                }
-                status = Some(value.as_str());
+                return Err(error_body(format!(
+                    "unknown status `{value}` (one of: {})",
+                    STATUS_NAMES.join(", ")
+                )))
             }
             "limit" => match value.parse::<usize>() {
                 Ok(n) => limit = n.min(MAX_LIST_LIMIT),
-                Err(_) => {
-                    return (400, error_body(format!("bad limit `{value}`")));
-                }
+                Err(_) => return Err(error_body(format!("bad limit `{value}`"))),
             },
             other => {
-                return (
-                    400,
-                    error_body(format!(
-                        "unknown query parameter `{other}` (accepted: status, limit)"
-                    )),
-                );
+                return Err(error_body(format!(
+                    "unknown query parameter `{other}` (accepted: status, limit)"
+                )))
             }
         }
     }
+    Ok((status, limit))
+}
+
+/// `GET /jobs` — summaries newest first, capped so listing a long-lived
+/// store stays bounded. `total` reports the matching count before the
+/// cap.
+fn list_jobs(query: &[(String, String)], state: &ServerState) -> (u16, Value) {
+    let (status, limit) = match list_query(query) {
+        Ok(parsed) => parsed,
+        Err(body) => return (400, body),
+    };
     let (total, items) = state.store.list(status, limit);
     (
         200,

@@ -416,6 +416,39 @@ fn restart_recovery_preserves_results_and_reruns_interrupted_jobs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A shard restarted on the same spool never re-assigns an id its
+/// previous life acked, even with the in-memory store: the router may
+/// still owe those ids, and would answer for the old job instead.
+#[test]
+fn restarted_spooled_shard_never_reuses_job_ids() {
+    let spool = temp_state_dir("id_floor");
+    let submit_three = || {
+        let server = Server::start(&ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 0,
+            shard_id: 1,
+            spool_dir: Some(spool.clone()),
+            ..Default::default()
+        })
+        .unwrap();
+        let mut client = Client::new(server.addr().to_string());
+        let ids: Vec<u64> = (0..3)
+            .map(|s| client.submit(&tiny_job(s)).unwrap())
+            .collect();
+        drop(client);
+        server.shutdown();
+        ids
+    };
+    let base = 1u64 << 48;
+    assert_eq!(submit_three(), vec![base + 1, base + 2, base + 3]);
+    assert_eq!(
+        submit_three(),
+        vec![base + 4, base + 5, base + 6],
+        "the restarted shard re-acked ids its previous life acked"
+    );
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
 /// TTL eviction: a finished result outlives its TTL only until the next
 /// read, then 404s; the eviction is counted in `/healthz`.
 #[test]
@@ -648,7 +681,8 @@ fn deadline_exceeded_jobs_fail_without_killing_the_worker() {
 /// idle keep-alive connections, a third connection is shed with an
 /// **inline** `503` + `Retry-After` (`reason: connections_exhausted`) —
 /// visible backpressure, never a silent drop — and a slot freed by a
-/// close is reusable again.
+/// close is reusable again. The shard and the router share one front end,
+/// so the same drill runs against both.
 #[test]
 fn connection_cap_sheds_with_503_and_recovers() {
     let server = Server::start(&ServerConfig {
@@ -660,28 +694,52 @@ fn connection_cap_sheds_with_503_and_recovers() {
     })
     .unwrap();
     let addr = server.addr().to_string();
+    assert_cap_sheds_and_recovers(&addr, &["connections_rejected"], |health| {
+        assert_eq!(
+            health.get("connections_active").and_then(Value::as_u64),
+            Some(2)
+        );
+        assert_eq!(
+            health.get("connections_limit").and_then(Value::as_u64),
+            Some(2)
+        );
+    });
+    server.shutdown();
 
+    // The router's own cap, in front of an uncapped shard.
+    use sspc_server::{Router, RouterConfig};
+    let shard = start(1, 8).0;
+    let router = Router::start(&RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        shards: vec![(0, shard.addr().to_string())],
+        max_connections: 2,
+        ..Default::default()
+    })
+    .unwrap();
+    let addr = router.addr().to_string();
+    assert_cap_sheds_and_recovers(&addr, &["router", "shed"], |_| {});
+    router.shutdown();
+    shard.shutdown();
+}
+
+/// Holds both slots of a `max_connections = 2` service at `addr`, checks
+/// the held-slot health document with `at_cap`, sees a third connection
+/// shed with a `503`, then frees a slot and checks that it is reused and
+/// that the health counter at `rejected` counted the shed.
+fn assert_cap_sheds_and_recovers(addr: &str, rejected: &[&str], at_cap: impl Fn(&Value)) {
     // Two handlers occupy both slots (first exchange forces the accept).
-    let mut first = Client::new(&addr);
-    let mut second = Client::new(&addr);
+    let mut first = Client::new(addr);
+    let mut second = Client::new(addr);
     first.healthz().unwrap();
     second.healthz().unwrap();
-    let health = first.healthz().unwrap();
-    assert_eq!(
-        health.get("connections_active").and_then(Value::as_u64),
-        Some(2)
-    );
-    assert_eq!(
-        health.get("connections_limit").and_then(Value::as_u64),
-        Some(2)
-    );
+    at_cap(&first.healthz().unwrap());
 
     // The third connection is answered 503 + Retry-After and closed. The
     // shed races the accept loop, so allow a few attempts for the gauge
     // to be observed at the cap.
     let mut shed = None;
     for _ in 0..20 {
-        match client::healthz(&addr) {
+        match client::healthz(addr) {
             Ok(_) => std::thread::sleep(Duration::from_millis(5)),
             Err(e) => {
                 shed = Some(e.to_string());
@@ -696,20 +754,20 @@ fn connection_cap_sheds_with_503_and_recovers() {
     drop(second);
     let mut third = None;
     for _ in 0..50 {
-        if let Ok(h) = client::healthz(&addr) {
+        if let Ok(h) = client::healthz(addr) {
             third = Some(h);
             break;
         }
         std::thread::sleep(Duration::from_millis(10));
     }
     let health = third.expect("freed slot is reusable");
-    let rejected = health
-        .get("connections_rejected")
+    let counted = rejected
+        .iter()
+        .try_fold(&health, |doc, key| doc.get(key))
         .and_then(Value::as_u64)
         .unwrap();
-    assert!(rejected >= 1, "the shed connection was counted");
+    assert!(counted >= 1, "the shed connection was counted");
     drop(first);
-    server.shutdown();
 }
 
 /// The drain lifecycle end to end: running work finishes, `/healthz`
